@@ -28,7 +28,12 @@ from repro.core.trainer import (
     online_update,
     training_accuracy,
 )
-from repro.hdc.backend import QuantizedClassMatrix, resolve_dtype, row_norms
+from repro.hdc.backend import (
+    QuantizedClassMatrix,
+    assign_columns,
+    resolve_dtype,
+    row_norms,
+)
 from repro.hdc.encoders import make_encoder
 from repro.hdc.encoders.base import BaseEncoder
 from repro.hdc.similarity import cosine_similarity_matrix
@@ -124,14 +129,16 @@ class CyberHD(BaseClassifier):
         self.regeneration_events_ = []
         self._invalidate_inference_caches()
 
-        H = self.encoder_.encode(X)
-        self.class_hypervectors_ = adaptive_one_pass_fit(
-            H, y, n_classes, batch_size=cfg.batch_size, rng=self._rng
-        )
+        # C order is what lets assign_columns write regenerated columns
+        # through a flat index (a no-op for every bundled encoder).
+        H = np.ascontiguousarray(self.encoder_.encode(X))
         # Cached-norm fast path: sample norms change only when regeneration
         # rewrites columns of H; class norms are maintained in place by
         # adaptive_epoch as updates land.
         sample_norms = row_norms(H)
+        self.class_hypervectors_ = adaptive_one_pass_fit(
+            H, y, n_classes, batch_size=cfg.batch_size, rng=self._rng, query_norms=sample_norms
+        )
         class_norms = row_norms(self.class_hypervectors_)
 
         history = {
@@ -155,14 +162,17 @@ class CyberHD(BaseClassifier):
                 class_norms=class_norms,
             )
             epochs_run = epoch
+            stop = cfg.early_stop_accuracy is not None and accuracy >= cfg.early_stop_accuracy
             regenerated = 0
             # Regenerate after every `regeneration_interval`-th epoch, but not
-            # after the final epoch: freshly regenerated (untrained) dimensions
-            # would only add noise to the deployed model.
+            # after the last epoch, final or early-stopping: freshly
+            # regenerated (untrained) dimensions would only add noise to the
+            # deployed model.
             should_regen = (
                 cfg.regeneration_rate > 0.0
                 and epoch % cfg.regeneration_interval == 0
                 and epoch < cfg.epochs
+                and not stop
             )
             if should_regen:
                 dims, threshold = select_drop_dimensions(
@@ -176,19 +186,29 @@ class CyberHD(BaseClassifier):
                     regenerated = int(dims.size)
                     # Incremental re-encode: only the regenerated dimensions
                     # change, so just those columns of the training matrix are
-                    # recomputed in place.
-                    H[:, dims] = self.encoder_.encode_partial(X, dims)
-                    sample_norms = row_norms(H)
+                    # recomputed and written in place, with the sample norms
+                    # refreshed in the same pass.
+                    columns = self.encoder_.encode_partial(X, dims)
+                    sample_norms = assign_columns(H, dims, columns)
                     # Warm-start the new columns so they contribute immediately
                     # instead of waiting for misclassification-driven updates.
-                    warm_start_regenerated(self.class_hypervectors_, H, y, dims)
+                    # Column-major is the layout a gathered ``H[:, dims]`` has;
+                    # the bundling GEMM's rounding depends on it, so keeping it
+                    # keeps the trained model bit for bit what it always was.
+                    warm_start_regenerated(
+                        self.class_hypervectors_,
+                        np.asfortranarray(columns),
+                        y,
+                        dims,
+                        H_is_partial=True,
+                    )
                     class_norms[:] = row_norms(self.class_hypervectors_)
 
             history["train_accuracy"].append(accuracy)
             history["regenerated_dims"].append(float(regenerated))
             history["effective_dim"].append(float(self.encoder_.effective_dim))
 
-            if cfg.early_stop_accuracy is not None and accuracy >= cfg.early_stop_accuracy:
+            if stop:
                 break
 
         if cfg.inference_bits is not None:

@@ -74,6 +74,7 @@ def adaptive_one_pass_fit(
     n_classes: int,
     batch_size: int = 256,
     rng: SeedLike = None,
+    query_norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Similarity-weighted initial bundling (the paper's anti-saturation rule).
 
@@ -84,13 +85,17 @@ def adaptive_one_pass_fit(
     barely change the model, which prevents the class hypervectors from
     saturating with redundant patterns.
 
+    ``query_norms`` are optional pre-computed ``(n,)`` row norms of ``H``, as
+    in :func:`adaptive_epoch`: a caller that goes on to retrain on the same
+    ``H`` computes them once and passes them to both.
+
     Returns the ``(k, D)`` class matrix (same dtype as ``H``).
     """
     H = _as_float_matrix(H)
     y = np.asarray(y, dtype=np.int64)
     classes = np.zeros((n_classes, H.shape[1]), dtype=H.dtype)
     class_norms = np.zeros(n_classes, dtype=H.dtype)
-    sample_norms = row_norms(H)
+    sample_norms = row_norms(H) if query_norms is None else query_norms
     gen = ensure_rng(rng)
     order = gen.permutation(H.shape[0])
     for start in range(0, H.shape[0], batch_size):

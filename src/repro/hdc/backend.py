@@ -16,10 +16,12 @@ the paper's efficiency argument is built on:
     matrix product (BLAS GEMM, the default) or a flattened ``np.bincount``
     aggregation.
 
-``row_norms`` / ``update_row_norms``
+``row_norms`` / ``update_row_norms`` / ``assign_columns``
     Norm bookkeeping for the cached-norm cosine-similarity fast path: class
     hypervector norms are computed once per *update* instead of once per
-    mini-batch (see :func:`repro.hdc.similarity.cosine_similarity_matrix`).
+    mini-batch (see :func:`repro.hdc.similarity.cosine_similarity_matrix`),
+    and the regeneration step rewrites the re-encoded columns of the
+    training matrix and refreshes its sample norms in one blocked pass.
 
 ``merge_class_deltas``
     The cluster aggregation rule: additive merge of per-replica class-matrix
@@ -66,6 +68,8 @@ _DTYPE_ALIASES = {
 
 _SCATTER_METHODS = ("auto", "matmul", "bincount", "add_at")
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 def resolve_dtype(spec: Optional[DTypeSpec]) -> np.dtype:
     """Resolve a dtype policy spec to a concrete NumPy floating dtype.
@@ -86,7 +90,7 @@ def resolve_dtype(spec: Optional[DTypeSpec]) -> np.dtype:
                 f"unsupported dtype {spec!r}; supported: float32, float64"
             ) from exc
     dtype = np.dtype(spec)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+    if dtype not in _FLOAT_DTYPES:
         raise ConfigurationError(
             f"unsupported dtype {dtype}; supported: float32, float64"
         )
@@ -198,10 +202,75 @@ def segment_min_max(
 
 
 # -------------------------------------------------------------------- norms
+#: Rows per block of the blocked norm and column-write passes: a ``(256, D)``
+#: float32 block is 2 MB at ``D = 2048``, so it stays in cache between the
+#: write, the squaring and the reduction.
+_ROW_BLOCK = 256
+
+
+def _sum_squares(block: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = sum(block[i] ** 2)``, squared into ``buf`` and reduced pairwise."""
+    square = buf[: block.shape[0]]
+    np.multiply(block, block, out=square)
+    np.add.reduce(square, axis=1, out=out)
+
+
 def row_norms(matrix: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, in the matrix's own dtype."""
+    """Euclidean norm of every row, in the matrix's own dtype.
+
+    Bitwise equal to ``np.linalg.norm(matrix, axis=1)``, in half the time and
+    without a temporary as large as ``matrix``: rows are squared a block at a
+    time into one reused ``(256, D)`` buffer, and each row is reduced with
+    the same pairwise ``np.add.reduce`` that ``np.linalg.norm`` applies.
+    Non-float input and column-major layouts (whose rows NumPy reduces in a
+    different order) go through ``np.linalg.norm`` itself.
+    """
     matrix = np.atleast_2d(np.asarray(matrix))
-    return np.linalg.norm(matrix, axis=1)
+    if matrix.dtype not in _FLOAT_DTYPES or abs(matrix.strides[1]) > abs(matrix.strides[0]):
+        return np.linalg.norm(matrix, axis=1)
+    n = matrix.shape[0]
+    norms = np.empty(n, dtype=matrix.dtype)
+    buf = np.empty((min(_ROW_BLOCK, n), matrix.shape[1]), dtype=matrix.dtype)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        _sum_squares(matrix[start:stop], buf, norms[start:stop])
+    return np.sqrt(norms, out=norms)
+
+
+def assign_columns(
+    matrix: np.ndarray, dimensions: np.ndarray, columns: np.ndarray
+) -> np.ndarray:
+    """``matrix[:, dimensions] = columns`` in place; returns the new row norms.
+
+    This is the regeneration step's re-encode write.  One row-blocked pass
+    writes each block's columns through a flat index into the block -- a
+    plain 1-D scatter, about 3x cheaper than NumPy's fancy-index column
+    assignment -- and refreshes that block's norms while it is in cache.
+    The returned norms are bitwise equal to ``row_norms(matrix)`` after the
+    write.
+
+    ``matrix`` must be C-contiguous: the flat index addresses
+    ``block.reshape(-1)``, which on any other layout is a copy that would
+    silently swallow the write.
+    """
+    if not matrix.flags.c_contiguous or matrix.ndim != 2:
+        raise ConfigurationError("assign_columns needs a C-contiguous 2-D matrix")
+    n, dim = matrix.shape
+    dimensions = np.asarray(dimensions, dtype=np.int64).ravel()
+    columns = np.asarray(columns, dtype=matrix.dtype)
+    width = dimensions.size
+    if columns.shape != (n, width):
+        raise ConfigurationError(f"expected {(n, width)} columns, got {columns.shape}")
+    rows = min(_ROW_BLOCK, n)
+    flat = (np.arange(rows, dtype=np.int64)[:, None] * dim + dimensions).ravel()
+    norms = np.empty(n, dtype=matrix.dtype)
+    buf = np.empty((rows, dim), dtype=matrix.dtype)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        block = matrix[start:stop]
+        block.reshape(-1)[flat[: block.shape[0] * width]] = columns[start:stop].reshape(-1)
+        _sum_squares(block, buf, norms[start:stop])
+    return np.sqrt(norms, out=norms)
 
 
 def update_row_norms(
@@ -377,6 +446,7 @@ __all__ = [
     "segment_sum",
     "segment_min_max",
     "row_norms",
+    "assign_columns",
     "update_row_norms",
     "merge_class_deltas",
     "normalize_similarity_grams",

@@ -141,8 +141,11 @@ class BaseEncoder(abc.ABC):
         This is the incremental re-encoding entry point for dimension
         regeneration: after ``regenerate(dims)`` only the columns in ``dims``
         of an encoded matrix change, so a caller holding ``H = encode(X)``
-        can refresh it with ``H[:, dims] = encode_partial(X, dims)`` instead
-        of re-encoding all ``D`` columns.
+        can write ``encode_partial(X, dims)`` into those columns instead of
+        re-encoding all ``D`` columns.  ``CyberHD`` does the write with
+        :func:`repro.hdc.backend.assign_columns`, which refreshes the sample
+        norms in the same pass, and warm-starts the new class-matrix columns
+        from the returned array itself.
 
         Contract: ``encode_partial(X, dims)`` is **bitwise identical** to
         ``encode(X)[:, dims]`` for the encoder's current parameters (the

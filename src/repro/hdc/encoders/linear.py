@@ -82,7 +82,8 @@ class LinearEncoder(BaseEncoder):
 
     def _activate(self, projected: np.ndarray) -> np.ndarray:
         if self._activation == "tanh":
-            return np.tanh(projected)
+            # ``projected`` is a fresh matmul result: reuse it for the output.
+            return np.tanh(projected, out=projected)
         if self._activation == "sign":
             one = self._dtype.type(1.0)
             return np.where(projected >= 0.0, one, -one)

@@ -98,18 +98,25 @@ class RBFEncoder(BaseEncoder):
 
     # --------------------------------------------------------------- encoding
     def _encode(self, X: np.ndarray) -> np.ndarray:
-        projected = X @ self._bases.T + self._phases
-        H = np.cos(projected)
-        if self._use_sine:
-            H[:, self._sine_mask] = np.sin(projected[:, self._sine_mask])
-        return H
+        return self._project(X, self._bases, self._phases, self._sine_mask)
 
     def _encode_partial(self, X: np.ndarray, dimensions: np.ndarray) -> np.ndarray:
-        projected = X @ self._bases[dimensions].T + self._phases[dimensions]
-        H = np.cos(projected)
-        if self._use_sine:
-            mask = self._sine_mask[dimensions]
-            H[:, mask] = np.sin(projected[:, mask])
+        return self._project(
+            X, self._bases[dimensions], self._phases[dimensions], self._sine_mask[dimensions]
+        )
+
+    def _project(
+        self, X: np.ndarray, bases: np.ndarray, phases: np.ndarray, sine_mask: np.ndarray
+    ) -> np.ndarray:
+        # Phase shift and cosine run in place on the projection, so the
+        # encoding needs one (n, D) array; the sine columns read their
+        # projection before the cosine overwrites it.
+        H = X @ bases.T
+        H += phases
+        sines = np.sin(H[:, sine_mask]) if self._use_sine else None
+        np.cos(H, out=H)
+        if sines is not None:
+            H[:, sine_mask] = sines
         return H
 
     def _regenerate(self, dimensions: np.ndarray) -> None:

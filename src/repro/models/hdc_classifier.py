@@ -111,10 +111,10 @@ class BaselineHDC(BaseClassifier):
         )
         self._invalidate_inference_caches()
         H = self.encoder_.encode(X)
-        self.class_hypervectors_ = adaptive_one_pass_fit(
-            H, y, n_classes, batch_size=self.batch_size, rng=self._rng
-        )
         sample_norms = row_norms(H)
+        self.class_hypervectors_ = adaptive_one_pass_fit(
+            H, y, n_classes, batch_size=self.batch_size, rng=self._rng, query_norms=sample_norms
+        )
         class_norms = row_norms(self.class_hypervectors_)
         history = {
             "train_accuracy": [

@@ -22,6 +22,7 @@ from repro.core.cyberhd import CyberHD
 from repro.exceptions import ConfigurationError, EncodingError
 from repro.hdc.backend import (
     QuantizedClassMatrix,
+    assign_columns,
     resolve_dtype,
     row_norms,
     segment_sum,
@@ -180,6 +181,53 @@ class TestCachedNormSimilarity:
         m[2] *= 3.0
         update_row_norms(norms, m, np.array([2]))
         np.testing.assert_allclose(norms, row_norms(m))
+
+
+class TestBlockedRowNorms:
+    """``row_norms`` and ``assign_columns`` reproduce ``np.linalg.norm`` bit for bit."""
+
+    @pytest.mark.parametrize("rows", (1, 255, 256, 257, 1000))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_row_norms_match_linalg_bitwise(self, rows, dtype):
+        m = np.random.default_rng(rows).standard_normal((rows, 301)).astype(dtype)
+        norms = row_norms(m)
+        assert norms.dtype == np.dtype(dtype)
+        assert np.array_equal(norms, np.linalg.norm(m, axis=1))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_row_norms_of_views_match_linalg_bitwise(self, dtype):
+        m = np.random.default_rng(0).standard_normal((600, 90)).astype(dtype)
+        for view in (m[:, ::3], m[::2], m[::-1, 5:], m.T, m[:40].T[::2]):
+            assert not view.flags.c_contiguous
+            assert np.array_equal(row_norms(view), np.linalg.norm(view, axis=1))
+
+    def test_row_norms_of_a_vector_and_of_integers(self):
+        vector = np.random.default_rng(1).standard_normal(77).astype(np.float32)
+        assert np.array_equal(row_norms(vector), np.linalg.norm(vector[None, :], axis=1))
+        ints = np.arange(-600, 600).reshape(300, 4)
+        norms = row_norms(ints)
+        assert norms.dtype == np.float64
+        assert np.array_equal(norms, np.linalg.norm(ints, axis=1))
+
+    @pytest.mark.parametrize("rows", (1, 256, 257, 600))
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_assign_columns_matches_fancy_assignment(self, rows, dtype):
+        rng = np.random.default_rng(rows)
+        m = rng.standard_normal((rows, 64)).astype(dtype)
+        dims = np.array([0, 7, 8, 31, 63])
+        columns = rng.standard_normal((rows, dims.size)).astype(dtype)
+        expected = m.copy()
+        expected[:, dims] = columns
+        norms = assign_columns(m, dims, columns)
+        assert np.array_equal(m, expected)
+        assert np.array_equal(norms, np.linalg.norm(expected, axis=1))
+
+    def test_assign_columns_rejects_a_layout_it_cannot_write_through(self):
+        m = np.zeros((8, 6))
+        with pytest.raises(ConfigurationError):
+            assign_columns(m[:, ::2], [0], np.ones((8, 1)))
+        with pytest.raises(ConfigurationError):
+            assign_columns(m, [0, 1], np.ones((8, 1)))
 
 
 class TestQuantizedInference:

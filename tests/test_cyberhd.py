@@ -205,6 +205,17 @@ class TestCyberHDModel:
         model = CyberHD(dim=128, epochs=30, early_stop_accuracy=0.9, seed=0).fit(X, y)
         assert model.fit_result_.epochs_run < 30
 
+    def test_early_stopped_fit_deploys_no_untrained_dimensions(self, small_dataset):
+        """Stopping early skips that epoch's regeneration, as the final epoch does."""
+        model = CyberHD(
+            dim=96, epochs=12, regeneration_rate=0.1, early_stop_accuracy=0.8, seed=0
+        ).fit(small_dataset.X_train, small_dataset.y_train)
+        epochs_run = model.fit_result_.epochs_run
+        assert 1 < epochs_run < 12
+        assert model.regeneration_events_
+        assert model.regeneration_events_[-1].epoch < epochs_run
+        assert model.fit_result_.history["regenerated_dims"][-1] == 0.0
+
     def test_regeneration_beats_static_model_on_dataset(self, small_dataset):
         """The paper's core claim at small scale: regeneration helps at fixed D."""
         static = CyberHD(dim=96, epochs=10, regeneration_rate=0.0, seed=3)

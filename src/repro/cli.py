@@ -13,8 +13,8 @@ can be regenerated without writing Python, plus the serving subsystem::
     python -m repro bench --suite replay --dataset nsl_kdd --json BENCH_replay.json
     python -m repro bench --suite bitpack --json BENCH_bitpack.json
     python -m repro bench --suite chaos --json BENCH_chaos.json
-    python -m repro bench-diff bench-bitpack.json BENCH_bitpack.json --floor bitpack_score_speedup=2.0
-    python -m repro bench-diff bench-chaos.json BENCH_chaos.json --floor chaos_recall_retention=0.99
+    python -m repro matrix run matrix/ci.yaml --json matrix-report.json
+    python -m repro matrix diff matrix/ci.yaml --report matrix-report.json
     python -m repro replay --dataset unsw_nb15 --workers 2
     python -m repro replay --workers 2 --chaos kill:0@0.4 --chaos hang:1@0.7:2
     python -m repro serve --flows 600 --inference-bits 1
@@ -138,31 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="where to write the machine-readable records "
         "(default: BENCH_<suite>.json)",
-    )
-
-    bench_diff = subparsers.add_parser(
-        "bench-diff",
-        help="gate a fresh bench JSON against a checked-in baseline "
-        "(parity must hold; relative speedups must reach a tolerance "
-        "fraction of the baseline's)",
-    )
-    bench_diff.add_argument("fresh", help="bench JSON produced by this run")
-    bench_diff.add_argument("baseline", help="checked-in BENCH_*.json baseline")
-    bench_diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="fraction of each baseline speedup the fresh run must reach "
-        "(loose by design: shared CI runners are noisy and smoke workloads "
-        "are smaller than the baseline's)",
-    )
-    bench_diff.add_argument(
-        "--floor",
-        action="append",
-        default=[],
-        metavar="OP=VALUE",
-        help="absolute speedup floor for one op (repeatable), e.g. "
-        "--floor bitpack_score_speedup=2.0",
     )
 
     replay = subparsers.add_parser(
@@ -487,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     matrix_diff = matrix_sub.add_parser(
         "diff",
-        help="gate a matrix report: per-cell bench-diff against the "
+        help="gate a matrix report: per-cell bench diff against the "
         "checked-in BENCH_*.json baselines (tolerances + floors from the "
         "spec) plus paired-significance comparisons",
     )
@@ -655,41 +630,6 @@ def _command_bench(args: argparse.Namespace) -> int:
         path = write_bench_json(records, json_path)
         print(f"\nbenchmark records written to {path}")
     return 0
-
-
-def _command_bench_diff(args: argparse.Namespace) -> int:
-    """``repro bench-diff``: the CI bench-regression gate.
-
-    Exit 0 when every parity record in the fresh file holds and every shared
-    speedup op reaches ``tolerance`` of its baseline ratio (plus any
-    ``--floor`` absolute requirements); 1 on any regression.
-    """
-    from repro.perf import diff_bench_payloads
-
-    floors = {}
-    for item in args.floor:
-        op, _, value = item.partition("=")
-        try:
-            floors[op] = float(value)
-        except ValueError:
-            print(
-                f"malformed --floor {item!r} (expected OP=VALUE with a numeric "
-                "value)",
-                file=sys.stderr,
-            )
-            return 2
-    with open(args.fresh) as fh:
-        fresh = json.load(fh)
-    with open(args.baseline) as fh:
-        baseline = json.load(fh)
-    ok, lines = diff_bench_payloads(
-        fresh, baseline, tolerance=args.tolerance, floors=floors
-    )
-    for line in lines:
-        print(line)
-    print(f"\nbench-diff: {'OK' if ok else 'REGRESSION'} "
-          f"({args.fresh} vs {args.baseline})")
-    return 0 if ok else 1
 
 
 def _command_replay_chaos(args: argparse.Namespace) -> int:
@@ -1577,8 +1517,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_datasets(args)
     if args.command == "bench":
         return _command_bench(args)
-    if args.command == "bench-diff":
-        return _command_bench_diff(args)
     if args.command == "replay":
         return _command_replay(args)
     if args.command == "serve":

@@ -895,18 +895,17 @@ class ClusterCoordinator:
                 self._recover(failure)
 
     def _drain_acks(self) -> None:
+        """Absorb ring acks; park outbox reports for their ``_collect``.
+
+        The outbox carries only reports: one racing ahead of its collect
+        waits on ``_pending``, in arrival order.
+        """
         self._drain_ring_acks()
         while True:
             try:
-                message = self._outbox.get_nowait()
+                self._pending.append(self._outbox.get_nowait())
             except queue_module.Empty:
                 return
-            if isinstance(message, BatchAck):
-                self._apply_ack(message)
-            else:
-                # A report racing ahead of its _collect; keep it for the
-                # collector, in arrival order.
-                self._pending.append(message)
 
     def _drain_ring_acks(self) -> None:
         """Absorb every committed ack from every live result ring."""
@@ -1158,8 +1157,8 @@ class ClusterCoordinator:
     ) -> List[Any]:
         """Gather one ``kind`` report per expected worker incarnation.
 
-        ``expected`` maps worker id -> incarnation owing the report.  Acks
-        interleaved in the stream are absorbed.  When an expected worker
+        ``expected`` maps worker id -> incarnation owing the report.  Ring
+        acks keep draining while it waits.  When an expected worker
         fails first, recovery runs and the collect adapts by ``on_failure``:
 
         ``"drop"``
@@ -1182,9 +1181,6 @@ class ClusterCoordinator:
             if message is None:
                 self._service_events()
                 self._check_expected(expected, results, misses, on_failure)
-                continue
-            if isinstance(message, BatchAck):
-                self._apply_ack(message)
                 continue
             if not isinstance(message, kind):
                 if isinstance(message, DeltaReport) and kind is FinalReport:

@@ -10,7 +10,13 @@ the worker then rebases onto the merged model and keeps serving.
 
 :class:`WorkerRuntime` holds all of that logic in-process (the equivalence
 tests drive it directly, deterministically); :func:`cluster_worker_main` is
-the thin message loop that ``multiprocessing.Process`` runs around it.
+the thin poll loop that ``multiprocessing.Process`` runs around it.
+
+Data travels only on the shared-memory ring pair: batches arrive as frames
+on the data ring and leave as fixed-width acks on the result ring.  The
+control queue carries only :class:`SyncRequest`, :class:`Rebase`,
+:class:`Stop` and the chaos messages; its reply queue carries only
+:class:`DeltaReport` and :class:`FinalReport`.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from repro.serving.stages import (
     FlowPrediction,
     ServingBatch,
     batch_flow_predictions,
-    run_stages,
 )
 from repro.serving.telemetry import TelemetryRecorder
 
@@ -54,12 +59,12 @@ _TENANT_MEMO_MAX = 1 << 20
 class PacketBatch:
     """One routed micro-batch for a worker's shard, in columnar frame form.
 
-    The payload is a :class:`repro.cluster.ring.PacketFrame`: the
-    coordinator columnarizes each routed batch once, the ledger retains the
-    frame for redispatch, and dispatch writes it (once) into the worker's
-    data ring.  ``packets`` materializes ``Packet`` objects only on the
-    slow paths that still want them (failover rerouting, diagnostics,
-    tests).
+    The coordinator's ledger record: the payload is a
+    :class:`repro.cluster.ring.PacketFrame`, columnarized once per routed
+    batch, retained for redispatch and written (once) into the worker's
+    data ring -- the worker itself only ever sees the frame.  ``packets``
+    materializes ``Packet`` objects only on the slow paths that still want
+    them (failover rerouting, diagnostics, tests).
 
     ``learn`` is cleared on redispatched batches whose online updates were
     already merged into the published model at a sync round before the crash:
@@ -84,7 +89,7 @@ class PacketBatch:
 
 @dataclass(frozen=True)
 class BatchAck:
-    """Per-batch receipt in the worker's report stream.
+    """Per-batch receipt, as the coordinator decodes it from a result ring.
 
     The coordinator's batch ledger retains a dispatched batch until it is
     acked *and* below the worker's ``watermark``: the lowest per-incarnation
@@ -173,8 +178,6 @@ class DeltaReport:
     worker_id: int
     round_id: int
     delta: np.ndarray
-    online_updates: int
-    online_samples: int
 
 
 @dataclass
@@ -272,14 +275,11 @@ class WorkerConfig:
     vnodes: int = 64
     enforce_shard_guard: bool = True
     #: Record every served flow's prediction and ship the records back
-    #: incrementally in :class:`BatchAck` messages (remainder in the
+    #: incrementally in result-ring acks (remainder in the
     #: :class:`FinalReport`) -- the differential-harness capture mode.
     capture_predictions: bool = False
-    #: Inbox poll timeout == idle heartbeat stamp cadence.
+    #: Heartbeat stamp cadence while a stamping chaos hang stalls the loop.
     heartbeat_interval: float = 0.25
-    #: Ship a :class:`BatchAck` after every processed batch (the
-    #: supervision contract; off only in single-worker legacy paths).
-    send_acks: bool = True
     #: Multi-tenant fabric attach table (:class:`repro.fabric.registry.
     #: RegistrySpec`).  When set, the worker serves each flow through its
     #: tenant's own model lane instead of the single shared publication
@@ -287,8 +287,7 @@ class WorkerConfig:
     #: ``Any`` to keep the cluster package import-independent of the fabric.
     fabric_spec: Optional[Any] = None
     #: Tenant keying fallback (:class:`repro.fabric.router.TenantKeyer`)
-    #: for flows whose frames carry no tenant stamp (flushed flows,
-    #: legacy packet batches).
+    #: for flows the worker's bounded frame-stamp memo does not cover.
     tenant_keyer: Optional[Any] = None
     #: Cascade attach handle (:class:`repro.cascade.cluster.CascadeSpec`).
     #: When set, the worker attaches the pre-filter's publication next to
@@ -399,60 +398,26 @@ class WorkerRuntime:
         )
 
     # ------------------------------------------------------------------- API
-    def handle_packets(self, packets: List[Packet], learn: bool = True) -> ServingBatch:
-        """Serve one routed packet batch through the full stage chain.
-
-        ``learn=False`` serves the batch without folding its labelled flows
-        into the replica -- the redispatch path for batches whose updates
-        were already merged before a crash.
-        """
-        start = time.perf_counter()
-        cpu_start = time.process_time()
-        batch = ServingBatch(packets=list(packets))
-        run_stages(self.stages, batch, self.telemetry)
-        if self.online and learn and batch.n_flows:
-            self._learn(batch)
-        self._account(
-            batch, time.perf_counter() - start, time.process_time() - cpu_start
-        )
-        self._advance_watermark()
-        return batch
-
     def handle_frame(self, frame, learn: bool = True) -> ServingBatch:
         """Serve one columnar transport frame through the full stage chain.
 
-        The zero-copy twin of :meth:`handle_packets`: the flow assembly
-        stage ingests the frame's columns directly
+        The flow assembly stage ingests the frame's columns directly
         (``FlowTable.add_frame``), so no per-packet ``Packet`` objects are
         materialized on the hot path.  The frame may alias a ring slot; it
-        is only read within this call.
+        is only read within this call.  ``learn=False`` serves the batch
+        without folding its labelled flows into the replica -- the
+        redispatch path for batches whose updates were already merged
+        before a crash.
         """
-        start = time.perf_counter()
-        cpu_start = time.process_time()
         if self.fabric is not None:
             self._note_frame_tenants(frame)
-        batch = ServingBatch(frame=frame)
-        run_stages(self.stages, batch, self.telemetry)
-        if self.online and learn and batch.n_flows:
-            self._learn(batch)
-        self._account(
-            batch, time.perf_counter() - start, time.process_time() - cpu_start
-        )
+        batch = self._serve(ServingBatch(frame=frame), self.stages, learn=learn)
         self._advance_watermark()
         return batch
 
     def handle_flows(self, flows) -> ServingBatch:
         """Serve pre-assembled flows (the flow-level equivalence-test path)."""
-        start = time.perf_counter()
-        cpu_start = time.process_time()
-        batch = ServingBatch(flows=list(flows))
-        run_stages(self.pipeline.stages, batch, self.telemetry)
-        if self.online and batch.n_flows:
-            self._learn(batch)
-        self._account(
-            batch, time.perf_counter() - start, time.process_time() - cpu_start
-        )
-        return batch
+        return self._serve(ServingBatch(flows=list(flows)), self.pipeline.stages)
 
     @property
     def watermark(self) -> int:
@@ -504,17 +469,7 @@ class WorkerRuntime:
 
     def finalize(self) -> WorkerSummary:
         """Flush stateful stages (classifying still-active flows) and report."""
-        start = time.perf_counter()
-        cpu_start = time.process_time()
-        batch = ServingBatch()
-        for stage in self.stages:
-            stage.run(batch, self.telemetry)
-            stage.flush(batch)
-        if self.online and batch.n_flows:
-            self._learn(batch)
-        self._account(
-            batch, time.perf_counter() - start, time.process_time() - cpu_start
-        )
+        self._serve(ServingBatch(), self.stages, flush=True)
         self.summary.telemetry = self.telemetry.to_dict()
         severities: Dict[str, int] = {}
         managers = [
@@ -583,6 +538,32 @@ class WorkerRuntime:
             return self.fabric.pipeline_for(tenant).stages
         except ConfigurationError:
             return self.pipeline.stages
+
+    def _serve(
+        self,
+        batch: ServingBatch,
+        stages,
+        learn: bool = True,
+        flush: bool = False,
+    ) -> ServingBatch:
+        """The one serve body: time, run ``stages``, learn, account.
+
+        ``flush`` drains each stateful stage after running it (the
+        shutdown pass that classifies still-open flows).
+        """
+        start = time.perf_counter()
+        cpu_start = time.process_time()
+        for stage in stages:
+            stage.run(batch, self.telemetry)
+            if flush:
+                stage.flush(batch)
+        if self.online and learn and batch.n_flows:
+            self._learn(batch)
+        self._account(
+            batch, time.perf_counter() - start, time.process_time() - cpu_start
+        )
+        return batch
+
     def _advance_watermark(self) -> None:
         """Refresh the open-flow -> first-batch-index map after one batch."""
         index = self.batches_handled
@@ -634,11 +615,11 @@ class WorkerRuntime:
 
 
 def cluster_worker_main(
-    config: WorkerConfig, inbox, outbox, heartbeat=None, transport=None
+    config: WorkerConfig, inbox, outbox, heartbeat, transport
 ) -> None:
     """Process entry point: attach, serve the poll loop, report, exit.
 
-    Data arrives through the shared-memory ring pair in ``transport``
+    Data arrives only through the shared-memory ring pair in ``transport``
     (:class:`~repro.cluster.ring.TransportSpec`): micro-batch frames are
     decoded *in place* from the data ring and acked as fixed-width records
     through the result ring; a data slot is released only after its ack is
@@ -671,14 +652,14 @@ def cluster_worker_main(
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic hosts
         pass
+
     def stamp() -> None:
-        if heartbeat is not None:
-            heartbeat[config.worker_id] = time.time()
+        heartbeat[config.worker_id] = time.time()
 
     stamp()
     attached = AttachedPublication(config.spec)
-    data_ring = ShmRing.attach(transport.data) if transport is not None else None
-    result_ring = ShmRing.attach(transport.result) if transport is not None else None
+    data_ring = ShmRing.attach(transport.data)
+    result_ring = ShmRing.attach(transport.result)
     runtime = None
     try:
         runtime = WorkerRuntime(
@@ -697,26 +678,6 @@ def cluster_worker_main(
         stamp()
 
         def send_ack(seq: int, n_packets: int, batch: ServingBatch) -> None:
-            if not config.send_acks:
-                return
-            if result_ring is None:  # legacy queue transport (tests)
-                outbox.put(
-                    BatchAck(
-                        worker_id=config.worker_id,
-                        seq=seq,
-                        index=runtime.batches_handled - 1,
-                        watermark=runtime.watermark,
-                        packets=n_packets,
-                        flows=batch.n_flows,
-                        alerts=len(batch.alerts),
-                        predictions=(
-                            runtime.drain_predictions()
-                            if config.capture_predictions
-                            else None
-                        ),
-                    )
-                )
-                return
             while True:
                 slot = result_ring.try_reserve()
                 if slot is not None:
@@ -781,8 +742,6 @@ def cluster_worker_main(
                         worker_id=config.worker_id,
                         round_id=message.round_id,
                         delta=runtime.compute_delta(),
-                        online_updates=runtime.summary.online_updates,
-                        online_samples=runtime.summary.online_samples,
                     )
                 )
                 # Freeze ring consumption until the Rebase lands, so
@@ -792,13 +751,6 @@ def cluster_worker_main(
             if isinstance(message, Rebase):
                 runtime.rebase()
                 hold_data = False
-                return False
-            if isinstance(message, PacketBatch):
-                # Rare direct injection (tests / legacy): same serving path,
-                # same ack channel as ring-borne frames.
-                batch = runtime.handle_frame(message.frame, learn=message.learn)
-                stamp()
-                send_ack(message.seq, message.n_packets, batch)
                 return False
             if isinstance(message, Stop):
                 hold_data = False
@@ -844,7 +796,7 @@ def cluster_worker_main(
                 # Barrier not reached: fall through and drain the data ring
                 # (the frames it needs were committed before the control
                 # message was sent).
-            if data_ring is not None and not hold_data:
+            if not hold_data:
                 view = data_ring.try_peek()
                 if view is not None:
                     seq, learn, frame = decode_frame(view, transport.frame_layout)
@@ -860,15 +812,10 @@ def cluster_worker_main(
                     # processed and its receipt committed to the result ring.
                     data_ring.release()
                     continue
-            time.sleep(
-                _RING_POLL_SECONDS if data_ring is not None
-                else config.heartbeat_interval
-            )
+            time.sleep(_RING_POLL_SECONDS)
     finally:
-        if data_ring is not None:
-            data_ring.close()
-        if result_ring is not None:
-            result_ring.close()
+        data_ring.close()
+        result_ring.close()
         if runtime is not None:
             runtime.close_fabric()
             runtime.close_cascade()

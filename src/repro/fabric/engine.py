@@ -94,6 +94,8 @@ class FabricEngine:
         self.online_samples = 0
         #: Per-tenant alias generation the lane's learning base was taken at.
         self._lane_generation: Dict[int, int] = {}
+        #: Per-tenant live version the lane's learning base was taken from.
+        self._lane_version: Dict[int, int] = {}
         #: Per-tenant class-matrix snapshot deltas are computed against.
         self._bases: Dict[int, np.ndarray] = {}
         #: Tenants with unreported partial_fit updates.
@@ -106,11 +108,16 @@ class FabricEngine:
     def _pipeline(self, tenant: int):
         """The tenant's live replica, re-snapshotting the learning base
         whenever the alias generation moved (swap or merged deltas)."""
+        # Read before the generation: a promote stores the live version
+        # first, so a racing swap can only make the recorded version stale
+        # (sync then drops the update), never newer than the replica's.
+        version = self.fabric.live_version(tenant)
         generation = self.fabric.generation(tenant)
         pipeline = self.fabric.pipeline_for(tenant)
         if self.online and self._lane_generation.get(tenant) != generation:
             self._bases[tenant] = pipeline.classifier.class_vector_snapshot()
             self._lane_generation[tenant] = generation
+            self._lane_version[tenant] = version
         return pipeline
 
     def _chain_for(self, tenant: int):
@@ -141,14 +148,23 @@ class FabricEngine:
     def sync(self) -> List[int]:
         """Report every dirty lane's delta to its tenant-scoped merge.
 
+        The delta is measured on the lane's own replica, which is not
+        refreshed here: a refresh would replace the lane's unsynced updates
+        with whatever another reader merged meanwhile.  A lane whose live
+        version moved (promote or rollback) since its base was taken drops
+        its update, which was learned on a model that no longer serves.
+
         Returns the tenants merged this round.  Each lane rebases (and
         re-snapshots its base) on its next batch, when ``pipeline_for``
         observes the bumped generation.
         """
         merged = []
+        replicas = self.fabric.replicas()
         for tenant in sorted(self._dirty):
-            pipeline = self.fabric.pipeline_for(tenant)
-            delta = pipeline.classifier.class_vector_delta(self._bases[tenant])
+            if self.fabric.live_version(tenant) != self._lane_version[tenant]:
+                continue
+            classifier = replicas[tenant].classifier
+            delta = classifier.class_vector_delta(self._bases[tenant])
             self.registry.merge_tenant_deltas(tenant, [delta], quorum=self.quorum)
             merged.append(tenant)
         self._dirty.clear()

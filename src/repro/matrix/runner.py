@@ -321,9 +321,8 @@ def diff_matrix(
 
     Per cell the fresh records diff against the suite's checked-in
     ``BENCH_*.json`` via :func:`repro.perf.diff_bench_payloads` with the
-    spec's tolerance and floors — the same semantics ``repro bench-diff``
-    applies, which is what lets one ``matrix diff`` subsume the old
-    per-suite CI gates.  Spec comparisons then run
+    spec's tolerance and floors, which is what lets one ``matrix diff``
+    subsume the old per-suite CI gates.  Spec comparisons then run
     :func:`repro.matrix.stats.compare_cells` on the per-repeat samples;
     only a significance-*confirmed* regression fails the gate.
     """

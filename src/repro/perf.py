@@ -1621,8 +1621,8 @@ def bench_chaos(
     trace under each fault schedule in ``scenarios`` (SIGKILL, non-stamping
     hang, clean-but-premature exit by default).  Every faulted run must
     still end in golden-trace flow parity -- the ``parity_ok`` fields are
-    hard gates in ``bench-diff`` -- and two speedup-shaped records make the
-    recovery quality gateable with absolute ``--floor`` requirements:
+    hard gates in ``matrix diff`` -- and two speedup-shaped records make the
+    recovery quality gateable with absolute spec floors:
 
     * ``chaos_recall_retention`` -- faulted-run recall over crash-free
       recall for the SIGKILL scenario (the PR's acceptance bound is 0.99:
@@ -1632,7 +1632,7 @@ def bench_chaos(
       The ratio saturates at 2.0 (any recovery under half a second scores
       the same): recovery on an idle host takes tens of milliseconds, and
       an uncapped ratio would turn scheduler noise into a 10x swing that
-      the relative bench-diff comparison then gates on.
+      the relative baseline comparison then gates on.
     """
     from repro.cluster import ChaosSchedule, run_chaos_replay
     from repro.core.cyberhd import CyberHD
@@ -1800,14 +1800,14 @@ def bench_fabric(
       tenants-per-host capacity number);
     * ``hot_swap_p95_ms`` -- p95 latency of an alias flip *plus* the
       attached reader materializing the new version, with ``speedup``
-      encoded as ``micro_batch_interval_ms / p95`` so the bench-diff floor
+      encoded as ``micro_batch_interval_ms / p95`` so the spec floor
       of 1.0 reads "a hot swap completes inside one micro-batch interval";
     * ``shadow_overhead_fraction`` -- candidate mirror wall time over live
       wall time, with ``speedup = 2 / (1 + overhead)`` so a floor of 0.9
       reads "mirroring costs at most ~1.2x the live pass";
     * ``fabric_recall_isolation`` -- online learning confined to one tenant
       must move that tenant's class matrix and *only* that tenant's
-      (``parity_ok`` is the hard isolation gate in ``bench-diff``).
+      (``parity_ok`` is the hard isolation gate in ``matrix diff``).
     """
     from repro.core.cyberhd import CyberHD
     from repro.fabric import (

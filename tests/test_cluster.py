@@ -697,8 +697,6 @@ class TestCollectFailureBranches:
             worker_id=0,
             round_id=round_id,
             delta=np.zeros((2, 2), dtype=np.float32),
-            online_updates=0,
-            online_samples=0,
         )
 
     def test_wrong_kind_raises_protocol_mismatch(self, trained_pipeline):

@@ -511,6 +511,66 @@ class TestFabricEngine:
         finally:
             registry.close()
 
+    @staticmethod
+    def _learn_unsynced(engine, seed):
+        """Serve one tenant-0 stream with no sync round; returns the engine."""
+        stream = TrafficGenerator(seed=seed, subnet="10.0.0").generate(
+            150, start_time=10_000.0
+        )
+        for start in range(0, len(stream), 128):
+            engine.process_packets(stream[start : start + 128])
+        assert engine.online_samples > 0
+        return engine
+
+    def _online_engine(self, registry, reader_id=0):
+        return FabricEngine(
+            registry.spec(),
+            TenantKeyer.per_subnet(2),
+            reader_id=reader_id,
+            idle_timeout=0.5,
+            online=True,
+            registry=registry,
+            sync_interval=10**6,
+        )
+
+    def test_two_readers_sync_the_sum_of_their_deltas(self, tenant_pipeline):
+        base = np.array(tenant_pipeline.classifier.class_hypervectors_, copy=True)
+        alone = []
+        for seed in (70, 71):
+            with ModelRegistry(max_tenants=2) as private:
+                private.publish(0, tenant_pipeline)
+                with self._online_engine(private) as engine:
+                    self._learn_unsynced(engine, seed)
+                    assert engine.sync() == [0]
+                alone.append(np.array(private.publication(0).class_matrix) - base)
+        with ModelRegistry(max_tenants=2, max_readers=2) as registry:
+            registry.publish(0, tenant_pipeline)
+            with self._online_engine(registry, 0) as a, self._online_engine(
+                registry, 1
+            ) as b:
+                self._learn_unsynced(a, 70)
+                self._learn_unsynced(b, 71)
+                assert a.sync() == [0]
+                assert b.sync() == [0]
+            np.testing.assert_allclose(
+                registry.publication(0).class_matrix,
+                base + alone[0] + alone[1],
+                atol=1e-5,
+            )
+
+    def test_sync_after_promotion_drops_the_stale_update(self, tenant_pipeline):
+        with ModelRegistry(max_tenants=2) as registry:
+            registry.publish(0, tenant_pipeline)
+            v2 = registry.publish(0, _scaled_copy(tenant_pipeline, 3.0))
+            v2_matrix = np.array(registry.publication(0, v2).class_matrix, copy=True)
+            with self._online_engine(registry) as engine:
+                self._learn_unsynced(engine, 70)
+                registry.promote(0, v2)
+                assert engine.sync() == []
+            np.testing.assert_array_equal(
+                registry.publication(0).class_matrix, v2_matrix
+            )
+
     def test_online_requires_registry(self, tenant_pipeline):
         with ModelRegistry(max_tenants=2) as registry:
             registry.publish(0, tenant_pipeline)

@@ -11,7 +11,7 @@ The load-bearing properties:
 * **significance floor** — a single-repeat run can never confirm a
   regression (verdict stays ``inconclusive``); three repeats can.
 * **gate fidelity** — ``diff_matrix`` applies the same parity/tolerance/
-  floor semantics ``repro bench-diff`` does, per cell.
+  floor semantics as ``diff_bench_payloads``, per cell.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cluster.ring import PacketFrame
 from repro.cluster.shared_model import ModelPublication
 from repro.cluster.worker import WorkerRuntime
 from repro.core.cyberhd import CyberHD
@@ -218,7 +219,7 @@ class TestGoldenParity:
 
             attached = AttachedPublication(publication.spec())
             runtime = WorkerRuntime(0, 1, attached, capture_predictions=True)
-            runtime.handle_packets(nsl_trace.packets[:800])
+            runtime.handle_frame(PacketFrame.from_packets(nsl_trace.packets[:800]))
             runtime.finalize()
             attached.close()
         assert runtime.predictions

@@ -2,7 +2,7 @@
 format roundtrips, SPSC ring semantics (wraparound, full-ring backpressure,
 occupancy accounting), vectorized shard-routing parity against the scalar
 reference, crash-time slot reclamation and shm-leak freedom, and the
-cpu-aware ``wall_speedup`` bench-diff floor."""
+cpu-aware ``wall_speedup`` baseline-diff floor."""
 
 import threading
 import time
@@ -351,8 +351,9 @@ class TestWatermarkPinsUndeliveredPredictions:
                 )
                 for i in range(4)
             ]
-            runtime.handle_packets(flow_a)  # batch 0: flow A opens
-            runtime.handle_packets(flow_b)  # batch 1: A expires -> prediction
+            # Batch 0: flow A opens.  Batch 1: A expires -> prediction.
+            runtime.handle_frame(PacketFrame.from_packets(flow_a))
+            runtime.handle_frame(PacketFrame.from_packets(flow_b))
             assert runtime.batches_handled == 2
             assert runtime.predictions, "flow A's prediction should be captured"
             assert runtime.predictions[0][0] == 0  # pinned at A's first batch
@@ -450,7 +451,7 @@ class TestCrashReclamationAndLeaks:
 
 
 class TestWallSpeedupFloor:
-    """Satellite: the ``--floor wall_speedup=...`` bench-diff gate, with the
+    """Satellite: the ``wall_speedup`` floor of ``diff_bench_payloads``, with the
     cpu-aware skip on hosts that cannot express the parallelism."""
 
     def _payload(self, cpu_count, wall_speedup, workers=4):

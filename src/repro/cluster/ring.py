@@ -61,14 +61,14 @@ unbounded; the ring only bounds *in-flight* batches.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.nids.flow import FlowKey
+from repro.nids.flow import FlowKey, PacketColumns, columnarize_packets
 from repro.nids.packets import Packet
 from repro.serving.stages import FlowPrediction
 
@@ -166,6 +166,19 @@ def _check_widths(values: Sequence[str], width: int, what: str) -> None:
             )
 
 
+def _check_range(values: np.ndarray, name: str) -> None:
+    """Integer casts into the packet row wrap silently; refuse instead."""
+    kind = PACKET_DTYPE[name]
+    if kind.kind != "u" or not values.size:
+        return
+    info = np.iinfo(kind)
+    if values.min() < info.min or values.max() > info.max:
+        raise ConfigurationError(
+            f"packet {name} outside [{info.min}, {info.max}] does not fit the "
+            f"transport's {kind} column; widen the wire dtype"
+        )
+
+
 # -------------------------------------------------------------- packet frame
 class PacketFrame:
     """One micro-batch in columnar, fixed-width, shm-mappable form.
@@ -189,7 +202,7 @@ class PacketFrame:
         self.records = records
         self.flows = flows
         self.labels = labels
-        self._cols: Optional[Dict[str, Any]] = None
+        self._cols: Optional[PacketColumns] = None
         self._packets: Optional[List[Packet]] = None
 
     # ---------------------------------------------------------- construction
@@ -207,50 +220,26 @@ class PacketFrame:
         flow belongs to tenant 0.
         """
         n = len(packets)
+        cols = columnarize_packets(packets)
+        flow_tuples = cols.flow_tuples
+        label_ids: Dict[str, int] = dict.fromkeys(cols.labels, 0)
+        for i, label in enumerate(label_ids):
+            label_ids[label] = i
+        label_list = list(label_ids)
         records = np.zeros(n, dtype=PACKET_DTYPE)
-        slot_of: Dict[Tuple[str, int, str, int, str], int] = {}
-        flow_tuples: List[Tuple[str, int, str, int, str]] = []
-        label_of: Dict[str, int] = {}
-        label_list: List[str] = []
-        ts: List[float] = []
-        lengths: List[int] = []
-        flags: List[int] = []
-        slots: List[int] = []
-        sports: List[int] = []
-        dports: List[int] = []
-        src_is_a: List[bool] = []
-        label_ids: List[int] = []
-        for p in packets:
-            forward = (p.src_ip, p.src_port, p.dst_ip, p.dst_port)
-            backward = (p.dst_ip, p.dst_port, p.src_ip, p.src_port)
-            if forward <= backward:
-                a, src_a = forward, True
-            else:
-                a, src_a = backward, False
-            kt = (a[0], a[1], a[2], a[3], p.protocol)
-            slot = slot_of.setdefault(kt, len(flow_tuples))
-            if slot == len(flow_tuples):
-                flow_tuples.append(kt)
-            lid = label_of.setdefault(p.label, len(label_list))
-            if lid == len(label_list):
-                label_list.append(p.label)
-            ts.append(p.timestamp)
-            lengths.append(p.length)
-            flags.append(p.tcp_flags if p.protocol == "tcp" else 0)
-            slots.append(slot)
-            sports.append(p.src_port)
-            dports.append(p.dst_port)
-            src_is_a.append(src_a)
-            label_ids.append(lid)
         if n:
-            records["ts"] = ts
-            records["length"] = lengths
-            records["flags"] = flags
-            records["flow_slot"] = slots
-            records["sport"] = sports
-            records["dport"] = dports
-            records["src_is_a"] = src_is_a
-            records["label_id"] = label_ids
+            for name, values in (
+                ("ts", cols.ts),
+                ("length", cols.lengths),
+                ("flags", cols.flags),
+                ("flow_slot", cols.slots),
+                ("sport", cols.sports),
+                ("dport", cols.dports),
+                ("src_is_a", cols.src_is_a),
+                ("label_id", np.fromiter(map(label_ids.__getitem__, cols.labels), np.int64, n)),
+            ):
+                _check_range(values, name)
+                records[name] = values
         _check_widths(
             [t[0] for t in flow_tuples] + [t[2] for t in flow_tuples],
             FLOW_DTYPE["ip_a"].itemsize,
@@ -305,50 +294,38 @@ class PacketFrame:
 
     def flow_keys(self) -> List[FlowKey]:
         """The canonical :class:`FlowKey` per sidecar row."""
-        return [
-            FlowKey(
-                ip_a=row["ip_a"].decode(),
-                port_a=int(row["port_a"]),
-                ip_b=row["ip_b"].decode(),
-                port_b=int(row["port_b"]),
-                protocol=row["protocol"].decode(),
-            )
-            for row in self.flows
-        ]
+        return [FlowKey(*kt) for kt in self.columns().flow_tuples]
 
-    def columns(self) -> Dict[str, Any]:
+    def columns(self) -> PacketColumns:
         """The column set the flow table's vectorized core ingests.
 
-        Derived once per frame and cached: the per-packet string columns
-        (source ip, label) are reconstructed by *indexing the sidecar*, so
-        reconstruction is a handful of vector gathers -- not a per-packet
-        Python loop.
+        Derived once per frame and cached: the per-packet label column is
+        reconstructed by *indexing the label table*, and the strings are
+        decoded once per sidecar row -- not in a per-packet Python loop.
         """
         if self._cols is not None:
             return self._cols
-        records = self.records
-        slots = records["flow_slot"].astype(np.int64)
-        src_a = records["src_is_a"].astype(bool)
-        ip_a = np.array([b.decode() for b in self.flows["ip_a"]], dtype=object)
-        ip_b = np.array([b.decode() for b in self.flows["ip_b"]], dtype=object)
+        records, flows = self.records, self.flows
         label_table = np.array([b.decode() for b in self.labels], dtype=object)
-        if self.n_packets:
-            sips = np.where(src_a, ip_a[slots], ip_b[slots])
-            labels = label_table[records["label_id"]]
-        else:
-            sips = np.empty(0, dtype=object)
-            labels = np.empty(0, dtype=object)
-        self._cols = {
-            "slots": slots,
-            "ts": records["ts"].astype(np.float64),
-            "lengths": records["length"].astype(np.float64),
-            "flags": records["flags"].astype(np.int64),
-            "dports": records["dport"].astype(np.int64),
-            "sports": records["sport"].astype(np.int64),
-            "sips": sips,
-            "labels": labels,
-            "flow_keys": self.flow_keys(),
-        }
+        self._cols = PacketColumns(
+            slots=records["flow_slot"].astype(np.int64),
+            src_is_a=records["src_is_a"].astype(bool),
+            flow_tuples=list(
+                zip(
+                    [b.decode() for b in flows["ip_a"]],
+                    flows["port_a"].tolist(),
+                    [b.decode() for b in flows["ip_b"]],
+                    flows["port_b"].tolist(),
+                    [b.decode() for b in flows["protocol"]],
+                )
+            ),
+            ts=records["ts"].astype(np.float64),
+            lengths=records["length"].astype(np.int64),
+            flags=records["flags"].astype(np.int64),
+            sports=records["sport"].astype(np.int64),
+            dports=records["dport"].astype(np.int64),
+            labels=label_table[records["label_id"]].tolist(),
+        )
         return self._cols
 
     def to_packets(self) -> List[Packet]:
@@ -360,29 +337,29 @@ class PacketFrame:
         if self._packets is not None:
             return self._packets
         cols = self.columns()
-        ip_a = np.array([b.decode() for b in self.flows["ip_a"]], dtype=object)
-        ip_b = np.array([b.decode() for b in self.flows["ip_b"]], dtype=object)
-        slots = cols["slots"]
-        src_a = self.records["src_is_a"].astype(bool)
-        dips = (
-            np.where(src_a, ip_b[slots], ip_a[slots])
-            if self.n_packets
-            else np.empty(0, dtype=object)
-        )
-        protocols = [b.decode() for b in self.flows["protocol"]]
+        tuples = cols.flow_tuples
         self._packets = [
             Packet(
-                timestamp=float(cols["ts"][i]),
-                src_ip=str(cols["sips"][i]),
-                dst_ip=str(dips[i]),
-                src_port=int(cols["sports"][i]),
-                dst_port=int(cols["dports"][i]),
-                protocol=protocols[int(slots[i])],
-                length=int(cols["lengths"][i]),
-                tcp_flags=int(cols["flags"][i]),
-                label=str(cols["labels"][i]),
+                timestamp=ts,
+                src_ip=tuples[slot][0 if src_a else 2],
+                dst_ip=tuples[slot][2 if src_a else 0],
+                src_port=sport,
+                dst_port=dport,
+                protocol=tuples[slot][4],
+                length=length,
+                tcp_flags=flags,
+                label=label,
             )
-            for i in range(self.n_packets)
+            for ts, slot, src_a, sport, dport, length, flags, label in zip(
+                cols.ts.tolist(),
+                cols.slots.tolist(),
+                cols.src_is_a.tolist(),
+                cols.sports.tolist(),
+                cols.dports.tolist(),
+                cols.lengths.tolist(),
+                cols.flags.tolist(),
+                cols.labels,
+            )
         ]
         return self._packets
 

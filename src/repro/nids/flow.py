@@ -11,31 +11,62 @@ Two ingestion paths share identical semantics:
     The scalar path: one packet at a time, used by interactive pushes.
 
 ``FlowTable.add_packets``
-    The columnar path: a time-ordered batch is factorized into per-flow
-    packet groups in a single Python pass, then every per-flow statistic
-    (byte/packet counters, length moments, inter-arrival moments, TCP flag
-    counts, port diversity) is filled with array reductions -- no per-packet
-    Python dict churn on the hot path.  Flow records store *running
-    aggregates* (sums, sums of squares, extrema) rather than per-packet
-    ``List[int]`` buffers, so a record costs O(1) memory regardless of flow
-    length and batch aggregation is a handful of ``bincount`` calls.
+    The columnar path.  :func:`columnarize_packets` pulls each packet field
+    into an array with one C-level ``map`` and factorizes the batch by its
+    *directed* 5-tuples -- one dict probe per packet; the canonical
+    (direction-independent) key and the packet's direction are then derived
+    once per distinct directed tuple, not once per packet.  Every per-flow
+    statistic (byte/packet counters, length moments, inter-arrival moments,
+    TCP flag counts, port diversity) is filled with array reductions, and
+    each aggregate column is converted to Python scalars once (``tolist``)
+    before the records are built -- no per-packet or per-field NumPy scalar
+    churn on the hot path.  Flow records store *running aggregates* (sums,
+    sums of squares, extrema) rather than per-packet ``List[int]`` buffers,
+    so a record costs O(1) memory regardless of flow length and batch
+    aggregation is a handful of segment reductions.  The cluster transport's
+    ``PacketFrame.from_packets`` builds its wire columns with the same
+    helper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.hdc.backend import segment_min_max
 from repro.nids.packets import Packet, TCP_FLAGS
 
 #: Batches smaller than this are cheaper through the scalar path (array
 #: setup costs more than it saves).
 _COLUMNAR_MIN_BATCH = 32
+
+#: TCP flag bits in the order of the ``FlowRecord`` counters.
+_FLAG_BITS = np.array([TCP_FLAGS[name] for name in ("SYN", "FIN", "RST", "PSH", "ACK", "URG")])
+
+
+#: A canonical flow key as a plain tuple ``(ip_a, port_a, ip_b, port_b, protocol)``.
+FlowTuple = Tuple[str, int, str, int, str]
+
+
+_DIRECTED = attrgetter("src_ip", "src_port", "dst_ip", "dst_port", "protocol")
+
+
+def _canonical(directed: FlowTuple) -> Tuple[FlowTuple, bool]:
+    """The canonical form of a directed 5-tuple, and whether its source is
+    the canonical A endpoint (the lesser of the two endpoints)."""
+    src_ip, src_port, dst_ip, dst_port, protocol = directed
+    if (src_ip, src_port, dst_ip, dst_port) <= (dst_ip, dst_port, src_ip, src_port):
+        return directed, True
+    return (dst_ip, dst_port, src_ip, src_port, protocol), False
+
+
+def _canonical_tuple(packet: Packet) -> FlowTuple:
+    """The canonical (direction-independent) 5-tuple of ``packet``."""
+    return _canonical(_DIRECTED(packet))[0]
 
 
 @dataclass(frozen=True)
@@ -55,10 +86,7 @@ class FlowKey:
     @classmethod
     def from_packet(cls, packet: Packet) -> "FlowKey":
         """Build the canonical key for ``packet``."""
-        forward = (packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port)
-        backward = (packet.dst_ip, packet.dst_port, packet.src_ip, packet.src_port)
-        a, b = (forward, backward) if forward <= backward else (backward, forward)
-        return cls(ip_a=a[0], port_a=a[1], ip_b=a[2], port_b=a[3], protocol=packet.protocol)
+        return cls(*_canonical_tuple(packet))
 
     @property
     def token(self) -> str:
@@ -157,6 +185,33 @@ class FlowRecord:
         if packet.label != "benign" and self.label == "benign":
             self.label = packet.label
 
+    def _absorb(self, later: "FlowRecord") -> None:
+        """Fold ``later`` -- this flow's next packets, already reduced -- in."""
+        self.end_time = max(self.end_time, later.end_time)
+        self.last_packet_time = later.last_packet_time
+        self.fwd_packets += later.fwd_packets
+        self.bwd_packets += later.bwd_packets
+        self.fwd_bytes += later.fwd_bytes
+        self.bwd_bytes += later.bwd_bytes
+        self.fwd_len_sumsq += later.fwd_len_sumsq
+        self.bwd_len_sumsq += later.bwd_len_sumsq
+        self.fwd_len_min = min(self.fwd_len_min, later.fwd_len_min)
+        self.fwd_len_max = max(self.fwd_len_max, later.fwd_len_max)
+        self.iat_count += later.iat_count
+        self.iat_sum += later.iat_sum
+        self.iat_sumsq += later.iat_sumsq
+        self.iat_min = min(self.iat_min, later.iat_min)
+        self.iat_max = max(self.iat_max, later.iat_max)
+        self.syn_count += later.syn_count
+        self.fin_count += later.fin_count
+        self.rst_count += later.rst_count
+        self.psh_count += later.psh_count
+        self.ack_count += later.ack_count
+        self.urg_count += later.urg_count
+        self.distinct_dst_ports |= later.distinct_dst_ports
+        if later.label != "benign" and self.label == "benign":
+            self.label = later.label
+
     @property
     def duration(self) -> float:
         """Flow duration in seconds (0 for single-packet flows)."""
@@ -184,6 +239,78 @@ class FlowRecord:
         )
         record.add_packet(packet)
         return record
+
+
+class PacketColumns(NamedTuple):
+    """A packet batch as columns, factorized by canonical flow.
+
+    ``slots`` indexes ``flow_tuples`` (canonical keys in first-seen order;
+    every key has at least one packet); ``src_is_a`` says whether the
+    packet's source is the key's A endpoint.  ``flags`` is zeroed for
+    non-TCP packets (the flow engine reads flags only for TCP).
+    """
+
+    slots: np.ndarray
+    src_is_a: np.ndarray
+    flow_tuples: List[FlowTuple]
+    ts: np.ndarray
+    lengths: np.ndarray
+    flags: np.ndarray
+    sports: np.ndarray
+    dports: np.ndarray
+    labels: List[str]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values starts."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _column(packets: Sequence[Packet], name: str, dtype) -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), packets), dtype=dtype, count=len(packets))
+
+
+def columnarize_packets(packets: Sequence[Packet]) -> PacketColumns:
+    """Columnarize a packet batch and factorize it by canonical flow.
+
+    The batch is factorized by its *directed* 5-tuples (one dict probe per
+    packet, in C); the canonical key and the direction are then derived
+    once per distinct directed tuple.  Canonical keys keep the order in
+    which their first packet appears, exactly as a per-packet pass would
+    number them.
+    """
+    n = len(packets)
+    directed = list(map(_DIRECTED, packets))
+    ids: Dict[FlowTuple, int] = dict.fromkeys(directed, 0)
+    slot_of: Dict[FlowTuple, int] = {}
+    flow_tuples: List[FlowTuple] = []
+    # Per distinct directed tuple: canonical slot, source-is-A, TCP, ports.
+    rows: List[Tuple[int, bool, bool, int, int]] = []
+    for i, d in enumerate(ids):
+        ids[d] = i
+        kt, src_a = _canonical(d)
+        slot = slot_of.setdefault(kt, len(flow_tuples))
+        if slot == len(flow_tuples):
+            flow_tuples.append(kt)
+        rows.append((slot, src_a, d[4] == "tcp", d[1], d[3]))
+    dirs = np.fromiter(map(ids.__getitem__, directed), dtype=np.int64, count=n)
+    slots, src_a, tcp, sports, dports = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    flags = _column(packets, "tcp_flags", np.int64)
+    flags[tcp[dirs] == 0] = 0
+    return PacketColumns(
+        slots=slots[dirs],
+        src_is_a=src_a[dirs].astype(bool),
+        flow_tuples=flow_tuples,
+        ts=_column(packets, "timestamp", np.float64),
+        lengths=_column(packets, "length", np.int64),
+        flags=flags,
+        sports=sports[dirs],
+        dports=dports[dirs],
+        labels=list(map(attrgetter("label"), packets)),
+    )
 
 
 class FlowTable:
@@ -217,7 +344,9 @@ class FlowTable:
         self.idle_timeout = float(idle_timeout)
         self.max_flow_duration = float(max_flow_duration)
         self.shard_guard = shard_guard
-        self._active: Dict[FlowKey, FlowRecord] = {}
+        # Keyed by the canonical tuple (C-level hashing); records carry the
+        # FlowKey.
+        self._active: Dict[FlowTuple, FlowRecord] = {}
 
     # ------------------------------------------------------------------- API
     @property
@@ -227,16 +356,16 @@ class FlowTable:
 
     def active_keys(self) -> List[FlowKey]:
         """Keys of the currently active flows (for liveness watermarks)."""
-        return list(self._active.keys())
+        return [record.key for record in self._active.values()]
 
     def add_packet(self, packet: Packet) -> List[FlowRecord]:
         """Ingest one packet; returns any flows expired by the packet's timestamp."""
         expired = self._expire(packet.timestamp)
-        key = FlowKey.from_packet(packet)
-        record = self._active.get(key)
+        kt = _canonical_tuple(packet)
+        record = self._active.get(kt)
         if record is None:
-            self._check_ownership(key)
-            self._active[key] = FlowRecord.from_first_packet(packet)
+            self._check_ownership(FlowKey(*kt))
+            self._active[kt] = FlowRecord.from_first_packet(packet)
         else:
             record.add_packet(packet)
         return expired
@@ -287,7 +416,7 @@ class FlowTable:
             expired.append(self._active.pop(key))
         return expired
 
-    def _fold_key_scalar(self, key: FlowKey, packets: List[Packet]) -> List[FlowRecord]:
+    def _fold_key_scalar(self, key: FlowTuple, packets: List[Packet]) -> List[FlowRecord]:
         """Scalar fold of one key's packets, without touching other flows.
 
         Used by the columnar path for the rare keys that need sequential
@@ -312,96 +441,34 @@ class FlowTable:
         return completed
 
     def _add_packets_columnar(self, packets: List[Packet]) -> List[FlowRecord]:
-        n = len(packets)
-
-        # ---- pass 1: columnarize fields and factorize flow keys -----------
-        slot_of: Dict[Tuple[str, int, str, int, str], int] = {}
-        keys: List[Tuple[str, int, str, int, str]] = []
-        slots = np.empty(n, dtype=np.int64)
-        ts = np.empty(n, dtype=np.float64)
-        lengths = np.empty(n, dtype=np.float64)
-        flags = np.empty(n, dtype=np.int64)
-        dports = np.empty(n, dtype=np.int64)
-        sports = np.empty(n, dtype=np.int64)
-        sips: List[str] = []
-        labels: List[str] = []
-        for i, p in enumerate(packets):
-            forward = (p.src_ip, p.src_port, p.dst_ip, p.dst_port)
-            backward = (p.dst_ip, p.dst_port, p.src_ip, p.src_port)
-            a = forward if forward <= backward else backward
-            kt = (a[0], a[1], a[2], a[3], p.protocol)
-            slot = slot_of.setdefault(kt, len(keys))
-            if slot == len(keys):
-                keys.append(kt)
-            slots[i] = slot
-            ts[i] = p.timestamp
-            lengths[i] = p.length
-            flags[i] = p.tcp_flags if p.protocol == "tcp" else 0
-            dports[i] = p.dst_port
-            sports[i] = p.src_port
-            sips.append(p.src_ip)
-            labels.append(p.label)
-
-        flow_keys = [FlowKey(*kt) for kt in keys]
-        return self._ingest_columns(
-            slots=slots,
-            ts=ts,
-            lengths=lengths,
-            flags=flags,
-            dports=dports,
-            sports=sports,
-            sips=sips,
-            labels=labels,
-            flow_keys=flow_keys,
-            packets_provider=lambda: packets,
-        )
+        return self._ingest_columns(columnarize_packets(packets), lambda: packets)
 
     def add_frame(self, frame) -> List[FlowRecord]:
         """Ingest a columnar transport frame (``repro.cluster.ring``).
 
-        The frame already carries the exact column set pass 1 of the
-        columnar path would build from ``Packet`` objects -- the whole
-        per-packet Python loop the cluster worker used to pay per batch
-        disappears.  ``frame`` is duck-typed (``columns()``/``to_packets()``
-        /``n_packets``) so this module stays import-free of the transport.
-        The result is identical to ``add_packets(frame.to_packets())``.
+        The frame already carries the :class:`PacketColumns` the columnar
+        path would build from ``Packet`` objects, so the worker pays no
+        per-packet Python loop.  ``frame`` is duck-typed
+        (``columns()``/``to_packets()``/``n_packets``) so this module stays
+        import-free of the transport.  The result is identical to
+        ``add_packets(frame.to_packets())``.
         """
         if frame.n_packets < _COLUMNAR_MIN_BATCH:
             return self._add_packets_scalar(frame.to_packets())
-        cols = frame.columns()
-        return self._ingest_columns(
-            slots=cols["slots"],
-            ts=cols["ts"],
-            lengths=cols["lengths"],
-            flags=cols["flags"],
-            dports=cols["dports"],
-            sports=cols["sports"],
-            sips=cols["sips"],
-            labels=cols["labels"],
-            flow_keys=cols["flow_keys"],
-            packets_provider=frame.to_packets,
-        )
+        return self._ingest_columns(frame.columns(), frame.to_packets)
 
     def _ingest_columns(
-        self,
-        slots: np.ndarray,
-        ts: np.ndarray,
-        lengths: np.ndarray,
-        flags: np.ndarray,
-        dports: np.ndarray,
-        sports: np.ndarray,
-        sips,
-        labels,
-        flow_keys: List[FlowKey],
-        packets_provider,
+        self, cols: PacketColumns, packets_provider: Callable[[], List[Packet]]
     ) -> List[FlowRecord]:
         """The vectorized ingestion core shared by packets and frames.
 
-        ``slots`` factorizes packets onto ``flow_keys`` (first-seen order);
-        ``packets_provider`` materializes the batch as ``Packet`` objects
-        only for the rare fallbacks (non-monotonic timestamps, duration
-        overrun) that need the sequential reference path.
+        ``cols.slots`` factorizes packets onto ``cols.flow_tuples``
+        (first-seen order); ``packets_provider`` materializes the batch as
+        ``Packet`` objects only for the rare fallbacks (non-monotonic
+        timestamps, duration overrun) that need the sequential reference
+        path.
         """
+        ts = cols.ts
         n = int(ts.size)
         idle = self.idle_timeout
         max_dur = self.max_flow_duration
@@ -411,41 +478,45 @@ class FlowTable:
         if np.any(np.diff(ts) < 0):
             return self._add_packets_scalar(packets_provider())
 
-        n_slots = len(flow_keys)
+        flow_tuples = cols.flow_tuples
+        n_slots = len(flow_tuples)
         if self.shard_guard is not None:
             # Keys already active were validated when their flow was created;
             # only new keys pay the ownership check (once per flow, as the
             # class docstring promises -- not once per batch).
-            for flow_key in flow_keys:
-                if flow_key not in self._active:
-                    self._check_ownership(flow_key)
+            for kt in flow_tuples:
+                if kt not in self._active:
+                    self._check_ownership(FlowKey(*kt))
 
         # ---- group by flow, preserving time order within each flow --------
-        order = np.argsort(slots, kind="stable")
-        g_slot = slots[order]
+        order = np.argsort(cols.slots, kind="stable")
+        g_slot = cols.slots[order]
         g_ts = ts[order]
-        slot_first = np.r_[True, g_slot[1:] != g_slot[:-1]]
+        slot_first = _run_starts(g_slot)
         gap = np.empty(n, dtype=np.float64)
         gap[0] = np.inf
         gap[1:] = g_ts[1:] - g_ts[:-1]
         gap[slot_first] = np.inf
 
         # ---- merge-with-active decisions ----------------------------------
+        # Every slot occurs in the batch, so slot j starts at slot_start_pos[j].
         slot_start_pos = np.flatnonzero(slot_first)
-        merged_record: List[Optional[FlowRecord]] = [None] * n_slots
+        merged_record: List[Optional[FlowRecord]] = list(map(self._active.get, flow_tuples))
+        merged = np.zeros(n_slots, dtype=bool)
+        merged_start = np.zeros(n_slots, dtype=np.float64)
         completed: List[FlowRecord] = []
-        for pos in slot_start_pos:
-            j = int(g_slot[pos])
-            record = self._active.get(flow_keys[j])
-            if record is None:
-                continue
-            t0 = g_ts[pos]
+        for j in [j for j, record in enumerate(merged_record) if record is not None]:
+            record = merged_record[j]
+            pos = int(slot_start_pos[j])
+            t0 = float(g_ts[pos])
             if (t0 - record.end_time) <= idle and (t0 - record.start_time) <= max_dur:
-                merged_record[j] = record
+                merged[j] = True
+                merged_start[j] = record.start_time
                 gap[pos] = t0 - record.last_packet_time
             else:
                 # The active flow is superseded by this batch's first packet.
-                completed.append(self._active.pop(flow_keys[j]))
+                merged_record[j] = None
+                completed.append(self._active.pop(flow_tuples[j]))
 
         # ---- candidate segments (gap splits) ------------------------------
         def derive_segments(g_slot, g_ts, gap):
@@ -453,27 +524,20 @@ class FlowTable:
             carries merge-bridge values at merged slot firsts.  Segment 0 of
             a slot whose active record merges continues that record (its
             start time is the record's, and it is flagged in ``seg_merge``)."""
-            slot_first = np.r_[True, g_slot[1:] != g_slot[:-1]]
+            slot_first = _run_starts(g_slot)
             seg_break = slot_first | (gap > idle)
             seg = np.cumsum(seg_break) - 1
             seg_start_pos = np.flatnonzero(seg_break)
-            seg_end_pos = np.r_[seg_start_pos[1:] - 1, g_ts.size - 1]
+            seg_end_pos = np.append(seg_start_pos[1:] - 1, g_ts.size - 1)
             seg_slot = g_slot[seg_start_pos]
-            seg_merge = np.zeros(seg_start_pos.size, dtype=bool)
-            seg_start_time = g_ts[seg_start_pos].copy()
-            for s in np.flatnonzero(slot_first[seg_start_pos]):
-                record = merged_record[int(seg_slot[s])]
-                if record is not None:
-                    seg_merge[s] = True
-                    seg_start_time[s] = record.start_time
+            seg_merge = slot_first[seg_start_pos] & merged[seg_slot]
+            seg_start_time = np.where(seg_merge, merged_start[seg_slot], g_ts[seg_start_pos])
             return seg_break, seg, seg_start_pos, seg_end_pos, seg_slot, seg_merge, seg_start_time
 
         seg_break, seg, seg_start_pos, seg_end_pos, seg_slot, seg_merge, seg_start_time = (
             derive_segments(g_slot, g_ts, gap)
         )
-        seg_t0 = g_ts[seg_start_pos]
         seg_t1 = g_ts[seg_end_pos]
-        n_seg = seg_start_pos.size
 
         # ---- duration-overrun slots take the scalar fold ------------------
         overrun = (seg_t1 - seg_start_time) > max_dur
@@ -482,7 +546,7 @@ class FlowTable:
             bad_slots = set(int(j) for j in np.unique(seg_slot[overrun]))
             keep = ~np.isin(g_slot, list(bad_slots))
             for j in sorted(bad_slots):
-                key = flow_keys[j]
+                key = flow_tuples[j]
                 record = merged_record[j]
                 if record is not None:
                     # _fold_key_scalar resumes from the active record.
@@ -503,158 +567,118 @@ class FlowTable:
             seg_break, seg, seg_start_pos, seg_end_pos, seg_slot, seg_merge, _ = (
                 derive_segments(g_slot, g_ts, gap)
             )
-            seg_t0 = g_ts[seg_start_pos]
             seg_t1 = g_ts[seg_end_pos]
-            n_seg = seg_start_pos.size
-
+        seg_t0 = g_ts[seg_start_pos]
+        n_seg = seg_start_pos.size
         n_kept = g_ts.size
 
         # ---- per-packet derived arrays ------------------------------------
-        g_len = lengths[order]
-        g_flags = flags[order]
-        g_dport = dports[order]
-        g_sport = sports[order]
-        g_sip = np.asarray(sips, dtype=object)[order]
-        g_label = np.asarray(labels, dtype=object)[order]
+        g_len = cols.lengths[order]
+        g_src_a = cols.src_is_a[order]
+        g_label = np.asarray(cols.labels, dtype=object)[order]
 
-        # Direction: forward packets match the segment initiator.
-        init_ip = np.empty(n_seg, dtype=object)
-        init_port = np.empty(n_seg, dtype=np.int64)
-        for s in range(n_seg):
-            if seg_merge[s]:
-                record = merged_record[int(seg_slot[s])]
-                init_ip[s] = record.initiator_ip
-                init_port[s] = record.initiator_port
-            else:
-                pos = seg_start_pos[s]
-                init_ip[s] = g_sip[pos]
-                init_port[s] = g_sport[pos]
-        seg_sizes = np.r_[seg_start_pos[1:], n_kept] - seg_start_pos
-        fwd = (g_sip == np.repeat(init_ip, seg_sizes)) & (
-            g_sport == np.repeat(init_port, seg_sizes)
-        )
+        # Direction: forward packets come from the segment's initiator, one
+        # of the canonical key's two endpoints.  A new segment's initiator is
+        # its first packet's source; a merged one keeps the record's.
+        init_is_a = g_src_a[seg_start_pos]
+        for s in np.flatnonzero(seg_merge).tolist():
+            j = int(seg_slot[s])
+            record, kt = merged_record[j], flow_tuples[j]
+            init_is_a[s] = record.initiator_ip == kt[0] and record.initiator_port == kt[1]
+        seg_sizes = np.diff(seg_start_pos, append=n_kept)
+        fwd = g_src_a == np.repeat(init_is_a, seg_sizes)
 
         # Inter-arrival times: every non-first packet of a segment, plus the
-        # bridge from a merged record's last packet to the segment's first.
-        iat = gap.copy()
+        # bridge from a merged record's last packet to the segment's first
+        # (``gap`` already holds t0 - last_packet_time from the merge pass).
         iat_valid = ~seg_break
-        for s in np.flatnonzero(seg_merge):
-            pos = seg_start_pos[s]
-            iat_valid[pos] = True
-            # gap[pos] already holds t0 - last_packet_time from the merge pass
+        iat_valid[seg_start_pos[seg_merge]] = True
 
         # ---- array reductions into per-segment aggregates -----------------
-        fwd_seg = seg[fwd]
-        bwd_seg = seg[~fwd]
-        fwd_len = g_len[fwd]
-        bwd_len = g_len[~fwd]
-        agg_fwd_packets = np.bincount(fwd_seg, minlength=n_seg).astype(np.int64)
-        agg_bwd_packets = np.bincount(bwd_seg, minlength=n_seg).astype(np.int64)
-        agg_fwd_bytes = np.bincount(fwd_seg, weights=fwd_len, minlength=n_seg)
-        agg_bwd_bytes = np.bincount(bwd_seg, weights=bwd_len, minlength=n_seg)
-        agg_fwd_sumsq = np.bincount(fwd_seg, weights=fwd_len * fwd_len, minlength=n_seg)
-        agg_bwd_sumsq = np.bincount(bwd_seg, weights=bwd_len * bwd_len, minlength=n_seg)
-        agg_fwd_min, agg_fwd_max = segment_min_max(fwd_len, fwd_seg, n_seg)
-
+        # Segments are contiguous runs of the grouped arrays, so one
+        # ``reduceat`` per reduction covers them all.  Integer columns
+        # (counts, byte and squared-length sums) are exact in any order; the
+        # inter-arrival float sums keep ``bincount``'s sequential order.
+        fwd_len = np.where(fwd, g_len, 0)
+        bwd_len = g_len - fwd_len
+        counts = np.empty((n_kept, 11), dtype=np.int64)
+        counts[:, 0] = fwd
+        counts[:, 1] = fwd_len
+        counts[:, 2] = bwd_len
+        counts[:, 3] = fwd_len * fwd_len
+        counts[:, 4] = bwd_len * bwd_len
+        counts[:, 5:] = (cols.flags[order][:, None] & _FLAG_BITS) != 0
+        counts = np.add.reduceat(counts, seg_start_pos, axis=0)
+        extrema = np.empty((n_kept, 2), dtype=np.float64)
+        extrema[:, 0] = np.where(fwd, g_len, np.inf)
+        extrema[:, 1] = np.where(iat_valid, gap, np.inf)
+        lows = np.minimum.reduceat(extrema, seg_start_pos, axis=0)
+        extrema[:, 0] = np.where(fwd, g_len, -np.inf)
+        extrema[:, 1] = np.where(iat_valid, gap, -np.inf)
+        highs = np.maximum.reduceat(extrema, seg_start_pos, axis=0)
         iat_seg = seg[iat_valid]
-        iat_vals = iat[iat_valid]
-        agg_iat_count = np.bincount(iat_seg, minlength=n_seg).astype(np.int64)
-        agg_iat_sum = np.bincount(iat_seg, weights=iat_vals, minlength=n_seg)
-        agg_iat_sumsq = np.bincount(iat_seg, weights=iat_vals * iat_vals, minlength=n_seg)
-        agg_iat_min, agg_iat_max = segment_min_max(iat_vals, iat_seg, n_seg)
-
-        flag_counts = {}
-        for name, bit in TCP_FLAGS.items():
-            flag_counts[name] = np.bincount(
-                seg, weights=((g_flags & bit) != 0).astype(np.float64), minlength=n_seg
-            ).astype(np.int64)
+        iat_vals = gap[iat_valid]
+        iat_count = np.bincount(iat_seg, minlength=n_seg)
 
         # Distinct destination ports of forward packets, per segment (ports
         # fit in 16 bits, so (segment, port) pairs pack into one integer).
-        port_pairs = np.unique(fwd_seg * (1 << 17) + g_dport[fwd])
-        ports_per_seg: Dict[int, np.ndarray] = {}
-        if port_pairs.size:
-            pair_seg = port_pairs >> 17
-            pair_port = port_pairs & ((1 << 17) - 1)
-            splits = np.flatnonzero(np.diff(pair_seg)) + 1
-            for sid, arr in zip(pair_seg[np.r_[0, splits]], np.split(pair_port, splits)):
-                ports_per_seg[int(sid)] = arr
+        port_pairs = np.sort(seg[fwd] * (1 << 17) + cols.dports[order][fwd])
+        port_pairs = port_pairs[_run_starts(port_pairs)]
+        port_sets: List[Set[int]] = [set() for _ in range(n_seg)]
+        for s, port in zip((port_pairs >> 17).tolist(), (port_pairs & ((1 << 17) - 1)).tolist()):
+            port_sets[s].add(port)
 
         # First attack label per segment (if any).
-        attack_pos = np.flatnonzero(g_label != "benign")
-        first_attack = np.full(n_seg, n_kept, dtype=np.int64)
-        if attack_pos.size:
-            np.minimum.at(first_attack, seg[attack_pos], attack_pos)
+        seg_label = ["benign"] * n_seg
+        attack = g_label != "benign"
+        if attack.any():
+            first = np.minimum.reduceat(np.where(attack, np.arange(n_kept), n_kept), seg_start_pos)
+            has_attack = np.flatnonzero(first < n_kept)
+            for s, label in zip(has_attack.tolist(), g_label[first[has_attack]].tolist()):
+                seg_label[s] = label
 
         # ---- build / update flow records ----------------------------------
-        slot_last_seg = {}
-        for s in range(n_seg):
-            slot_last_seg[int(seg_slot[s])] = s
-        for s in range(n_seg):
-            j = int(seg_slot[s])
-            label = "benign"
-            if first_attack[s] < n_kept:
-                label = str(g_label[first_attack[s]])
-            ports = ports_per_seg.get(s)
-            if seg_merge[s]:
+        # Every column becomes Python scalars once (``tolist``), in
+        # ``FlowRecord`` declaration order from ``start_time`` on: segments
+        # are built positionally (keyword matching would cost more than the
+        # rest of the record), and a merged one is absorbed by its record.
+        rows = zip(
+            seg_t0.tolist(),
+            seg_t1.tolist(),
+            seg_label,
+            counts[:, 0].tolist(),
+            (seg_sizes - counts[:, 0]).tolist(),
+            counts[:, 1].tolist(),
+            counts[:, 2].tolist(),
+            counts[:, 3].astype(np.float64).tolist(),
+            lows[:, 0].tolist(),
+            highs[:, 0].tolist(),
+            counts[:, 4].astype(np.float64).tolist(),
+            iat_count.tolist(),
+            np.bincount(iat_seg, weights=iat_vals, minlength=n_seg).tolist(),
+            np.bincount(iat_seg, weights=iat_vals * iat_vals, minlength=n_seg).tolist(),
+            lows[:, 1].tolist(),
+            highs[:, 1].tolist(),
+            seg_t1.tolist(),
+            *counts[:, 5:].T.tolist(),
+        )
+        slot_list = seg_slot.tolist()
+        slot_last_seg = dict(zip(slot_list, range(n_seg)))
+        for s, (j, merge, is_a, ports, row) in enumerate(
+            zip(slot_list, seg_merge.tolist(), init_is_a.tolist(), port_sets, rows)
+        ):
+            if merge:
                 record = merged_record[j]
-                record.end_time = max(record.end_time, float(seg_t1[s]))
-                record.last_packet_time = float(seg_t1[s])
-                record.fwd_packets += int(agg_fwd_packets[s])
-                record.bwd_packets += int(agg_bwd_packets[s])
-                record.fwd_bytes += int(agg_fwd_bytes[s])
-                record.bwd_bytes += int(agg_bwd_bytes[s])
-                record.fwd_len_sumsq += float(agg_fwd_sumsq[s])
-                record.bwd_len_sumsq += float(agg_bwd_sumsq[s])
-                record.fwd_len_min = min(record.fwd_len_min, float(agg_fwd_min[s]))
-                record.fwd_len_max = max(record.fwd_len_max, float(agg_fwd_max[s]))
-                record.iat_count += int(agg_iat_count[s])
-                record.iat_sum += float(agg_iat_sum[s])
-                record.iat_sumsq += float(agg_iat_sumsq[s])
-                record.iat_min = min(record.iat_min, float(agg_iat_min[s]))
-                record.iat_max = max(record.iat_max, float(agg_iat_max[s]))
-                record.syn_count += int(flag_counts["SYN"][s])
-                record.fin_count += int(flag_counts["FIN"][s])
-                record.rst_count += int(flag_counts["RST"][s])
-                record.psh_count += int(flag_counts["PSH"][s])
-                record.ack_count += int(flag_counts["ACK"][s])
-                record.urg_count += int(flag_counts["URG"][s])
-                if ports is not None:
-                    record.distinct_dst_ports.update(int(p) for p in ports)
-                if label != "benign" and record.label == "benign":
-                    record.label = label
+                record._absorb(
+                    FlowRecord(record.key, record.initiator_ip, record.initiator_port, *row, ports)
+                )
             else:
+                kt = flow_tuples[j]
                 record = FlowRecord(
-                    key=flow_keys[j],
-                    initiator_ip=str(init_ip[s]),
-                    initiator_port=int(init_port[s]),
-                    start_time=float(seg_t0[s]),
-                    end_time=float(seg_t1[s]),
-                    label=label,
-                    fwd_packets=int(agg_fwd_packets[s]),
-                    bwd_packets=int(agg_bwd_packets[s]),
-                    fwd_bytes=int(agg_fwd_bytes[s]),
-                    bwd_bytes=int(agg_bwd_bytes[s]),
-                    fwd_len_sumsq=float(agg_fwd_sumsq[s]),
-                    fwd_len_min=float(agg_fwd_min[s]),
-                    fwd_len_max=float(agg_fwd_max[s]),
-                    bwd_len_sumsq=float(agg_bwd_sumsq[s]),
-                    iat_count=int(agg_iat_count[s]),
-                    iat_sum=float(agg_iat_sum[s]),
-                    iat_sumsq=float(agg_iat_sumsq[s]),
-                    iat_min=float(agg_iat_min[s]),
-                    iat_max=float(agg_iat_max[s]),
-                    last_packet_time=float(seg_t1[s]),
-                    syn_count=int(flag_counts["SYN"][s]),
-                    fin_count=int(flag_counts["FIN"][s]),
-                    rst_count=int(flag_counts["RST"][s]),
-                    psh_count=int(flag_counts["PSH"][s]),
-                    ack_count=int(flag_counts["ACK"][s]),
-                    urg_count=int(flag_counts["URG"][s]),
-                    distinct_dst_ports=set(int(p) for p in ports) if ports is not None else set(),
+                    FlowKey(*kt), kt[0] if is_a else kt[2], kt[1] if is_a else kt[3], *row, ports
                 )
             if slot_last_seg[j] == s:
-                self._active[flow_keys[j]] = record
+                self._active[flow_tuples[j]] = record
             else:
                 # A later packet of the same key superseded this segment.
                 completed.append(record)

@@ -151,8 +151,7 @@ class StreamingDetector:
     def push_many(self, packets: Iterable[Packet]) -> List[WindowResult]:
         """Ingest many packets; returns all completed window results."""
         before = len(self.results)
-        for packet in packets:
-            self.engine.submit(packet)
+        self.engine.submit_many(list(packets))
         return self.results[before:]
 
     def flush(self) -> WindowResult:

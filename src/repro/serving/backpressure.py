@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 
@@ -98,6 +98,33 @@ class BoundedQueue:
             if len(self._items) > self.stats.high_watermark:
                 self.stats.high_watermark = len(self._items)
             return True
+
+    def push_many(self, items: Sequence[Any]) -> int:
+        """Enqueue a run of items under one lock; returns how many were taken.
+
+        Counters end exactly where ``len(items)`` successive :meth:`push`
+        calls would leave them.  Under ``drop_oldest`` every item is taken
+        and each one that finds the queue full evicts the head (which may
+        be an earlier item of the same run).  Under ``block`` items are
+        taken until the queue is full; the caller drains and retries the
+        rest, as it would after a refused :meth:`push`.
+        """
+        with self._lock:
+            taken = len(items)
+            if self.policy == "block":
+                taken = min(taken, self.capacity - len(self._items))
+                items = items[:taken]
+            self._items.extend(items)
+            overflow = len(self._items) - self.capacity
+            for _ in range(overflow):
+                self._items.popleft()
+            if overflow > 0:
+                self.stats.dropped_oldest += overflow
+            self.stats.submitted += taken
+            self.stats.accepted += taken
+            if len(self._items) > self.stats.high_watermark:
+                self.stats.high_watermark = len(self._items)
+            return taken
 
     def drain(self, max_items: Optional[int] = None) -> List[Any]:
         """Pop up to ``max_items`` (all, when None) from the head."""

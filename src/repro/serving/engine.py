@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import repeat
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
@@ -118,37 +119,45 @@ class InferenceEngine:
         flush -- the producer pays), ``max_batch_size`` reached, or the
         oldest queued item exceeding ``max_wait_s``.  Every processed batch
         reaches ``on_batch`` and ``batches`` regardless of what this call
-        returns; the return value is a convenience for synchronous callers.
+        returns; the return value (the last batch the call dispatched) is a
+        convenience for synchronous callers.
         """
-        dispatched: Optional[ServingBatch] = None
-        # Items are queued with their enqueue timestamp, so queue-wait
-        # telemetry and max_wait dispatch reflect each item's true age even
-        # across partial drains and drop-oldest evictions.
-        entry = (self.clock(), item)
-        while not self.queue.push(entry):
-            # block policy, queue full
-            if self._worker is not None:
-                with self.queue.not_full:
-                    start = self.clock()
-                    self.queue.not_full.wait(timeout=0.1)
-                    self.queue.stats.blocked_seconds += self.clock() - start
-            else:
-                self.queue.stats.forced_flushes += 1
-                batch = self._dispatch()
-                if batch is not None:
-                    dispatched = batch
-        if self._worker is not None:
-            return None
-        polled = self.poll()
-        return polled if polled is not None else dispatched
+        dispatched = self._submit(item)
+        return dispatched[-1] if dispatched else None
 
     def submit_many(self, items: Sequence[Any]) -> List[ServingBatch]:
-        """Enqueue many items; returns every batch dispatched along the way."""
+        """Enqueue many items; returns every batch dispatched along the way, in order.
+
+        A synchronous engine without a batching timer takes the bulk path:
+        items are enqueued in slices that end where a per-item
+        :meth:`submit` would next dispatch (``max_batch_size`` reached, or a
+        full ``block`` queue forcing a flush), each slice under one clock
+        read and one queue lock (:meth:`BoundedQueue.push_many`).  The
+        batches, their order and the backpressure counters are exactly
+        those of per-item submits; only the enqueue stamps (queue-wait
+        telemetry) are shared per slice.  With a worker thread running or
+        ``max_wait_s`` set, dispatch depends on each item's own stamp, so
+        the per-item loop runs instead.
+        """
         results: List[ServingBatch] = []
-        for item in items:
-            result = self.submit(item)
-            if result is not None:
-                results.append(result)
+        if self._worker is not None or self.max_wait_s is not None:
+            for item in items:
+                results.extend(self._submit(item))
+            return results
+        i, n = 0, len(items)
+        while i < n:
+            # Up to the item whose submit would find max_batch_size queued.
+            k = max(1, self.max_batch_size - len(self.queue))
+            taken = self.queue.push_many(list(zip(repeat(self.clock()), items[i : i + k])))
+            i += taken
+            if taken < k and i < n:
+                # block policy, queue full: the producer pays inline.
+                self.queue.stats.forced_flushes += 1
+                batch = self._dispatch()
+            else:
+                batch = self.poll()
+            if batch is not None:
+                results.append(batch)
         return results
 
     def poll(self) -> Optional[ServingBatch]:
@@ -212,6 +221,32 @@ class InferenceEngine:
         self._worker = None
 
     # ------------------------------------------------------------- internals
+    def _submit(self, item: Any) -> List[ServingBatch]:
+        """Enqueue one item; returns the batches dispatched, in order."""
+        dispatched: List[ServingBatch] = []
+        # Items are queued with their enqueue timestamp, so queue-wait
+        # telemetry and max_wait dispatch reflect each item's true age even
+        # across partial drains and drop-oldest evictions.
+        entry = (self.clock(), item)
+        while not self.queue.push(entry):
+            # block policy, queue full
+            if self._worker is not None:
+                with self.queue.not_full:
+                    start = self.clock()
+                    self.queue.not_full.wait(timeout=0.1)
+                    self.queue.stats.blocked_seconds += self.clock() - start
+            else:
+                self.queue.stats.forced_flushes += 1
+                batch = self._dispatch()
+                if batch is not None:
+                    dispatched.append(batch)
+        if self._worker is not None:
+            return dispatched
+        polled = self.poll()
+        if polled is not None:
+            dispatched.append(polled)
+        return dispatched
+
     def _dispatch(self) -> Optional[ServingBatch]:
         with self._dispatch_lock:
             entries = self.queue.drain(self.max_batch_size)

@@ -5,15 +5,18 @@ persistence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.ring import PacketFrame
 from repro.core.cyberhd import CyberHD
 from repro.core.trainer import adaptive_epoch
 from repro.datasets.loaders import load_dataset
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.models.hdc_classifier import BaselineHDC
 from repro.nids.feature_extraction import FlowFeatureExtractor
-from repro.nids.flow import FlowTable
-from repro.nids.packets import TrafficGenerator
+from repro.nids.flow import _COLUMNAR_MIN_BATCH, FlowTable
+from repro.nids.packets import Packet, TrafficGenerator
 from repro.nids.pipeline import DetectionPipeline
 from repro.nids.streaming import StreamingDetector
 from repro.persistence import load_model, load_pipeline, save_model, save_pipeline
@@ -23,6 +26,7 @@ from repro.serving import (
     FlowAssemblyStage,
     InferenceEngine,
     OnlineLearner,
+    Stage,
     TelemetryRecorder,
     score_confidences,
 )
@@ -35,6 +39,36 @@ def split_dataset():
 
 
 # ``packet_pipeline`` comes from conftest.py (session scope, read-only).
+
+
+def _exact_fields(flows):
+    """Every ``FlowRecord`` field that the scalar and columnar paths compute
+    without rounding (all but the inter-arrival sums), as a sorted list."""
+    return sorted(
+        (
+            f.key.token,
+            f.start_time,
+            f.end_time,
+            f.last_packet_time,
+            f.initiator_ip,
+            f.initiator_port,
+            f.label,
+            f.fwd_packets,
+            f.bwd_packets,
+            f.fwd_bytes,
+            f.bwd_bytes,
+            f.fwd_len_sumsq,
+            f.bwd_len_sumsq,
+            f.fwd_len_min,
+            f.fwd_len_max,
+            f.iat_count,
+            f.iat_min,
+            f.iat_max,
+            (f.syn_count, f.fin_count, f.rst_count, f.psh_count, f.ack_count, f.urg_count),
+            sorted(f.distinct_dst_ports),
+        )
+        for f in flows
+    )
 
 
 class TestColumnarFlowEquivalence:
@@ -83,6 +117,59 @@ class TestColumnarFlowEquivalence:
         assert {(f.key, round(f.start_time, 9)) for f in flows_a} == {
             (f.key, round(f.start_time, 9)) for f in flows_b
         }
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_packets_and_frames_ingest_identically(self, data):
+        """``add_packets`` and ``add_frame`` give ``==``-equal records in the
+        same order and leave equal active tables after every batch."""
+        hosts = [("10.0.0.1", 80), ("10.0.0.1", 1234), ("10.0.0.2", 80), ("10.0.0.3", 53)]
+        n = data.draw(st.integers(1, 160))
+        steps = data.draw(
+            st.lists(st.sampled_from([0.0, 0.01, 0.4, 2.0, 6.0]), min_size=n, max_size=n)
+        )
+        stamps = np.cumsum(steps).tolist()
+        if n > 2 and data.draw(st.booleans()):
+            # One packet out of time order: the columnar path must fall back.
+            i = data.draw(st.integers(1, n - 1))
+            stamps[i] = stamps[i - 1] - 0.5
+        packets = []
+        for now in stamps:
+            src, dst = data.draw(st.permutations(hosts))[:2]
+            packets.append(
+                Packet(
+                    timestamp=now,
+                    src_ip=src[0],
+                    dst_ip=dst[0],
+                    src_port=src[1],
+                    dst_port=dst[1],
+                    # Flags ride on UDP/ICMP too; only TCP may count them.
+                    protocol=data.draw(st.sampled_from(["tcp", "udp", "icmp"])),
+                    length=data.draw(st.integers(0, 1500)),
+                    tcp_flags=data.draw(st.integers(0, 63)),
+                    label=data.draw(st.sampled_from(["benign", "benign", "dos", "probe"])),
+                )
+            )
+        # A short max duration makes long-lived keys overrun mid-batch.
+        tables = [FlowTable(idle_timeout=5.0, max_flow_duration=8.0) for _ in range(3)]
+        start = 0
+        while start < n:
+            size = data.draw(
+                st.sampled_from([1, _COLUMNAR_MIN_BATCH - 1, _COLUMNAR_MIN_BATCH, 50, 160])
+            )
+            batch = packets[start : start + size]
+            start += size
+            from_packets = tables[0].add_packets(batch)
+            from_frame = tables[1].add_frame(PacketFrame.from_packets(batch))
+            reference = tables[2]._add_packets_scalar(batch)
+            assert from_packets == from_frame
+            assert list(tables[0]._active.items()) == list(tables[1]._active.items())
+            # Both share the columnar core, so also hold it to the scalar
+            # reference (as a set; float sums may round differently).
+            assert _exact_fields(from_packets) == _exact_fields(reference)
+        flushed = [table.flush() for table in tables]
+        assert flushed[0] == flushed[1]
+        assert _exact_fields(flushed[0]) == _exact_fields(flushed[2])
 
     def test_extract_single_matches_batch(self):
         table = FlowTable()
@@ -274,6 +361,110 @@ class TestInferenceEngine:
         stats = engine.telemetry.to_dict()
         assert "assemble" in stats
         assert stats["assemble"]["batches"] >= 1
+
+
+    def test_submit_many_returns_every_dispatched_batch(self):
+        """A submit that force-flushes a full ``block`` queue and then
+        timer-dispatches the retried item dispatches two batches."""
+
+        class Tick(Stage):
+            name = "tick"
+
+            def process(self, batch):
+                clock.now += 10.0
+
+        clock = _FakeClock()
+        engine = InferenceEngine(
+            [Tick()],
+            max_batch_size=1000,
+            max_wait_s=5.0,
+            queue_capacity=4,
+            backpressure="block",
+            telemetry=TelemetryRecorder(clock=clock),
+            clock=clock,
+        )
+        assert engine.submit_many(range(4)) == []
+        results = engine.submit_many([4])
+        assert len(engine.batches) == 2
+        assert results == engine.batches
+        assert [len(b.packets) for b in results] == [4, 1]
+
+
+class TestBulkEnqueue:
+    """``submit_many``'s bulk path must be indistinguishable from per-item
+    ``submit`` in everything but queue-wait stamps."""
+
+    WINDOW = 64
+
+    @staticmethod
+    def _windows(detector):
+        return [
+            (window.n_packets, {(f.key.token, f.start_time) for f in detection.flows})
+            for window, detection in zip(detector.results, detector.detections)
+        ]
+
+    @pytest.mark.parametrize("policy", ["block", "drop_oldest"])
+    @pytest.mark.parametrize("capacity_windows", [0.5, 1, 4])
+    def test_push_many_matches_per_packet_push(self, packet_pipeline, policy, capacity_windows):
+        packets = TrafficGenerator(seed=21).generate(12)
+        for chunk in (37, 300):
+            runs = []
+            for bulk in (True, False):
+                detector = StreamingDetector(
+                    packet_pipeline,
+                    window_size=self.WINDOW,
+                    queue_capacity=int(capacity_windows * self.WINDOW),
+                    backpressure=policy,
+                    history=None,
+                )
+                for i in range(0, len(packets), chunk):
+                    if bulk:
+                        detector.push_many(packets[i : i + chunk])
+                    else:
+                        for packet in packets[i : i + chunk]:
+                            detector.push(packet)
+                stats = detector.backpressure_stats.to_dict()
+                detector.flush()
+                runs.append((self._windows(detector), stats))
+            assert runs[0] == runs[1]
+
+    @staticmethod
+    def _counting_engine(**kwargs):
+        ticks = iter(range(10**6))
+        stages = [FlowAssemblyStage(FlowTable())]
+        return InferenceEngine(stages, clock=lambda: next(ticks) * 1e-3, **kwargs)
+
+    def test_timer_engine_submits_per_item(self):
+        packets = TrafficGenerator(seed=22).generate(6)
+        kwargs = dict(max_batch_size=40, max_wait_s=0.05, queue_capacity=30)
+        bulk, single = self._counting_engine(**kwargs), self._counting_engine(**kwargs)
+        returned = bulk.submit_many(packets)
+        expected = []
+        for packet in packets:
+            batch = single.submit(packet)
+            if batch is not None:
+                expected.append(batch)
+        assert [len(b.packets) for b in returned] == [len(b.packets) for b in expected]
+        assert [len(b.packets) for b in bulk.batches] == [len(b.packets) for b in single.batches]
+        assert bulk.backpressure_stats == single.backpressure_stats
+        assert [stamp for stamp, _ in bulk.queue.drain()] == [
+            stamp for stamp, _ in single.queue.drain()
+        ]
+
+    def test_threaded_engine_submits_per_item(self):
+        packets = TrafficGenerator(seed=23).generate(2)
+        # The worker never dispatches: no timer and the batch never fills.
+        engine = self._counting_engine(
+            max_batch_size=10**6, max_wait_s=None, queue_capacity=10**6
+        )
+        engine.start(poll_interval=0.001)
+        try:
+            assert engine.submit_many(packets) == []
+        finally:
+            engine.stop()
+        stamps = [stamp for stamp, _ in engine.queue.drain()]
+        assert len(stamps) == len(packets)
+        assert len(set(stamps)) == len(packets)  # one clock read per item
 
 
 class TestDriftMonitor:

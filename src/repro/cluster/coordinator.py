@@ -31,9 +31,18 @@ The coordinator owns the cluster:
 With data and control on separate channels (rings vs a small control
 queue), the old queue-FIFO consistent cut is replaced by a **barrier
 protocol**: every ``SyncRequest``/``Stop`` carries the worker's dispatch
-count at send time, the worker drains its data ring to that barrier before
-acting, and ring consumption stays frozen between a sync reply and its
-``Rebase`` -- a round is therefore still a consistent cut of the stream.
+count at send time and the worker drains its data ring to that barrier
+before acting, so each delta is a consistent cut of the stream.
+
+Sync rounds are **pipelined**: at a cadence point the coordinator sends the
+requests and goes back to dispatching; the workers reply, mark their
+replicas and keep serving.  The reports are merged -- and ``Rebase`` sent --
+at the coordinator's next safe point after the last one arrives, and each
+worker's rebase carries the updates it learned since its barrier over onto
+the merged model.  At most one round is in flight: a cadence point that
+comes first waits for it.  With several workers a frame served after a
+barrier is therefore scored before the other workers' deltas of that round
+land -- the model a worker serves is at most one round stale.
 """
 
 from __future__ import annotations
@@ -290,6 +299,16 @@ class ClusterReport:
         }
 
 
+@dataclass(frozen=True)
+class _SyncRound:
+    """A sync round in flight: its id and, per worker that got the request,
+    ``(incarnation, barrier)`` -- the incarnation it reached and the
+    worker's dispatch count when it was sent."""
+
+    round_id: int
+    candidates: Dict[int, Tuple[int, int]]
+
+
 class ClusterCoordinator:
     """Runs a trained pipeline as a sharded multi-process serving cluster.
 
@@ -337,6 +356,8 @@ class ClusterCoordinator:
         self._seq = 0
         self._dispatches_since_sync = 0
         self.sync_rounds = 0
+        #: The sync round in flight, if any (at most one).
+        self._round: Optional[_SyncRound] = None
         self._started = False
         # ------------------------------------------------------- transport
         self._frame_layout = FrameSlotLayout.for_batch_size(self.config.batch_size)
@@ -516,79 +537,42 @@ class ClusterCoordinator:
         self._maybe_sync()
 
     def _maybe_sync(self) -> None:
-        """Run a delta-merge round when the dispatch cadence calls for one."""
+        """Open a delta-merge round when the dispatch cadence calls for one."""
         cfg = self.config
         if (
             cfg.online
             and cfg.sync_interval
             and self._dispatches_since_sync >= cfg.sync_interval * cfg.n_workers
         ):
-            self.sync_models()
+            self.sync_models(wait=False)
 
-    def sync_models(self) -> int:
-        """One quorum-tolerant delta-merge round; returns the new generation.
+    def sync_models(self, new_round: bool = True, wait: bool = True) -> int:
+        """One quorum-tolerant delta-merge round; returns the generation.
+
+        A round already in flight is completed first.  By default the call
+        is then one complete, blocking round and returns the generation it
+        published.  The serve loop pipelines its rounds: ``wait=False`` only
+        opens the new round (its reports are merged at a later safe point
+        while dispatch goes on), and ``new_round=False`` -- used by
+        :meth:`shutdown` before ``Stop`` -- only completes the one in
+        flight.  Any waiting for reports happens inside this call.
 
         The sync request is sent to every live worker; if one dies before
         reporting, recovery respawns it and the round proceeds with the
         surviving deltas (the dead incarnation's unsynced updates are lost,
-        bounded by the sync interval).  A worker that missed the round --
-        respawned mid-round or mid-collect -- simply keeps its attach-time
-        base and is folded back in at the next round: additive deltas are
-        independent of the base generation, so nothing is double-merged.
+        and redispatch re-learns them).  A worker that missed the round --
+        respawned mid-round -- simply keeps its attach-time base and is
+        folded back in at the next round: additive deltas are independent
+        of the base generation, so nothing is double-merged.
         """
         if not self._started:
             raise ConfigurationError("cluster is not running")
         self._service_events()
-        round_id = self.sync_rounds
-        # worker -> (incarnation the request reached, its dispatch count then)
-        candidates: Dict[int, Tuple[int, int]] = {}
-        for worker_id in range(self.config.n_workers):
-            if self._shed[worker_id]:
-                continue
-            incarnation = self._incarnation[worker_id]
-            # The barrier pins the consistent cut: every frame counted here
-            # is already committed to the worker's data ring (dispatch
-            # happens before control on this single coordinator thread), so
-            # the worker can always drain to the barrier before replying.
-            dispatched = self._ledger.dispatched(worker_id)
-            if self._put_control(
-                worker_id, SyncRequest(round_id=round_id, barrier=dispatched)
-            ):
-                candidates[worker_id] = (incarnation, dispatched)
-        expected = {w: inc for w, (inc, _) in candidates.items()}
-        reports = self._collect(DeltaReport, expected, round_id, on_failure="drop")
-        # A delta from an incarnation that has since been respawned is
-        # dropped: recovery replays its unsynced batches with learning on,
-        # so merging the dead incarnation's delta too would double-count.
-        reports = [
-            report
-            for report in reports
-            if self._incarnation[report.worker_id] == candidates[report.worker_id][0]
-        ]
-        deltas = [report.delta for report in reports]
-        if deltas:
-            merge_class_deltas(
-                self.publication.class_matrix, deltas, self.publication.class_norms
-            )
-            # Deltas accumulate in the float matrix; the packed 1-bit serving
-            # words (if published) are re-derived from the merged result
-            # before replicas are told to rebase.
-            self.publication.repack()
-        generation = self.publication.bump_generation()
-        merged_from = set()
-        for report in reports:
-            worker_id = report.worker_id
-            incarnation, dispatched = candidates[worker_id]
-            merged_from.add(worker_id)
-            # Everything dispatched before the request is now in the
-            # published model; a future redispatch must not re-learn it.
-            self._synced_through[worker_id] = dispatched
-            self._put_control(worker_id, Rebase(round_id=round_id, generation=generation))
-        live = [w for w in range(self.config.n_workers) if not self._shed[w]]
-        if len(merged_from) < len(live):
-            self.recovery.quorum_rounds += 1
-        self.sync_rounds += 1
-        self._dispatches_since_sync = 0
+        generation = self._finish_round()
+        if new_round:
+            self._open_round()
+            if wait:
+                generation = self._finish_round()
         return generation
 
     def shutdown(self) -> ClusterReport:
@@ -606,6 +590,10 @@ class ClusterCoordinator:
         start = time.perf_counter()
         try:
             self._service_events()
+            if self._round is not None:
+                # The last round lands before Stop, so the final deltas
+                # cover exactly the batches after its barrier.
+                self.sync_models(new_round=False)
             expected: Dict[int, int] = {}
             for worker_id in range(self.config.n_workers):
                 while not self._shed[worker_id]:
@@ -884,15 +872,106 @@ class ClusterCoordinator:
             except queue_module.Full:
                 self._service_events()
 
+    # ------------------------------------------------------------ sync rounds
+    def _open_round(self) -> None:
+        """Send each live worker a ``SyncRequest`` pinned at its dispatch
+        count; the round is then in flight until :meth:`_finish_round`."""
+        round_id = self.sync_rounds
+        # worker -> (incarnation the request reached, its dispatch count then)
+        candidates: Dict[int, Tuple[int, int]] = {}
+        for worker_id in range(self.config.n_workers):
+            if self._shed[worker_id]:
+                continue
+            incarnation = self._incarnation[worker_id]
+            # The barrier pins the consistent cut: every frame counted here
+            # is already committed to the worker's data ring (dispatch
+            # happens before control on this single coordinator thread), so
+            # the worker can always drain to the barrier before replying.
+            dispatched = self._ledger.dispatched(worker_id)
+            if self._put_control(
+                worker_id, SyncRequest(round_id=round_id, barrier=dispatched)
+            ):
+                candidates[worker_id] = (incarnation, dispatched)
+        self._round = _SyncRound(round_id, candidates)
+        self._dispatches_since_sync = 0
+
+    def _round_expected(self, round_: "_SyncRound") -> Dict[int, int]:
+        """Worker -> incarnation of the candidates that still owe a report.
+
+        A candidate that was respawned or shed since the request owes
+        nothing: its dead incarnation's delta is never merged.
+        """
+        return {
+            worker_id: incarnation
+            for worker_id, (incarnation, _) in round_.candidates.items()
+            if not self._shed[worker_id]
+            and self._incarnation[worker_id] == incarnation
+        }
+
+    def _round_reported(self) -> bool:
+        """Whether every report the round in flight awaits is pending."""
+        round_id = self._round.round_id
+        reported = {
+            message.worker_id
+            for message in self._pending
+            if isinstance(message, DeltaReport) and message.round_id == round_id
+        }
+        return reported.issuperset(self._round_expected(self._round))
+
+    def _finish_round(self) -> int:
+        """Merge the round in flight (waiting for its reports), republish
+        and send ``Rebase``; returns the published generation."""
+        round_, self._round = self._round, None
+        if round_ is None:
+            return self.publication.generation
+        reports = self._collect(
+            DeltaReport, self._round_expected(round_), round_.round_id, on_failure="drop"
+        )
+        # A delta from an incarnation that has since been respawned is
+        # dropped: recovery replays its unsynced batches with learning on,
+        # so merging the dead incarnation's delta too would double-count.
+        candidates = round_.candidates
+        reports = [
+            report
+            for report in reports
+            if self._incarnation[report.worker_id] == candidates[report.worker_id][0]
+        ]
+        deltas = [report.delta for report in reports]
+        if deltas:
+            merge_class_deltas(
+                self.publication.class_matrix, deltas, self.publication.class_norms
+            )
+            # Deltas accumulate in the float matrix; the packed 1-bit serving
+            # words (if published) are re-derived from the merged result
+            # before replicas are told to rebase.
+            self.publication.repack()
+        generation = self.publication.bump_generation()
+        for report in reports:
+            worker_id = report.worker_id
+            # Everything dispatched before the request is now in the
+            # published model; a future redispatch must not re-learn it.
+            self._synced_through[worker_id] = candidates[worker_id][1]
+            self._put_control(
+                worker_id, Rebase(round_id=round_.round_id, generation=generation)
+            )
+        live = [w for w in range(self.config.n_workers) if not self._shed[w]]
+        if len(reports) < len(live):
+            self.recovery.quorum_rounds += 1
+        self.sync_rounds += 1
+        return generation
+
     # ---------------------------------------------------- failure handling
     def _service_events(self, scan: bool = False) -> None:
-        """Coordinator-thread safe point: absorb acks, run pending recovery."""
+        """Coordinator-thread safe point: absorb acks, run pending recovery,
+        and merge the sync round in flight once all its reports are in."""
         self._drain_acks()
         if self._watchdog is not None:
             if scan:
                 self._watchdog.scan_once()
             for failure in self._watchdog.take_failures():
                 self._recover(failure)
+        if self._round is not None and self._round_reported():
+            self._finish_round()
 
     def _drain_acks(self) -> None:
         """Absorb ring acks; park outbox reports for their ``_collect``.
@@ -1145,6 +1224,7 @@ class ClusterCoordinator:
         self._close_rings()
         self._processes = []
         self._inboxes = []
+        self._round = None
         self._started = False
 
     # ------------------------------------------------------------ collection

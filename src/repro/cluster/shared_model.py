@@ -393,11 +393,25 @@ class AttachedPublication:
             classifier._packed_classes = self.packed_matrix()
         return pipeline
 
-    def refresh_replica(self, classifier) -> int:
+    def refresh_replica(self, classifier, since: Optional[np.ndarray] = None) -> int:
         """Rebase a replica's classifier onto the currently published model.
+
+        ``since`` carries the replica's unsynced updates over instead of
+        discarding them: it is the class matrix those updates are measured
+        from, and the replica becomes ``published + (replica - since)``
+        (computed as ``replica + (published - since)``, so rows where the
+        two agree keep their bits and cached norms).  ``since`` is then
+        overwritten with the published matrix -- the replica's new base.
+        Every rebase that keeps local learning goes through this rule: the
+        cluster worker's and the fabric engine's.
 
         Returns the generation the replica is now based on.
         """
+        if since is not None:
+            published = self.class_matrix
+            classifier.apply_class_delta(published - since)
+            since[...] = published
+            return self.generation
         classifier.set_class_vectors(self.class_matrix)
         if getattr(classifier, "_class_norms", None) is not None:
             classifier._class_norms[:] = self.class_norms

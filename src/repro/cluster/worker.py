@@ -4,9 +4,10 @@ Each worker hosts a *complete* packets->alerts pipeline -- shard-guarded flow
 table, feature extraction, classification against the shared-memory model
 replica, alerting -- plus the online-learning half of the cluster contract:
 ``partial_fit`` updates accumulate in the replica's **private** class-matrix
-copy, and on a sync round the worker reports the delta against the base it
-last rebased from.  The coordinator merges deltas additively and republishes;
-the worker then rebases onto the merged model and keeps serving.
+copy, and on a sync round the worker reports the delta against its base and
+keeps serving.  The coordinator merges deltas additively and republishes;
+the worker then rebases onto the merged model, carrying over what it
+learned in the meantime.
 
 :class:`WorkerRuntime` holds all of that logic in-process (the equivalence
 tests drive it directly, deterministically); :func:`cluster_worker_main` is
@@ -26,6 +27,7 @@ import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +36,8 @@ from repro.cluster.ring import ShmRing, decode_frame, encode_ack
 from repro.cluster.router import ShardRouter
 from repro.cluster.shared_model import AttachedPublication, PublicationSpec
 from repro.exceptions import ConfigurationError
-from repro.nids.flow import FlowTable
+from repro.hdc.backend import merge_class_deltas
+from repro.nids.flow import FlowRecord, FlowTable, FlowTuple
 from repro.nids.packets import Packet
 from repro.serving.stages import (
     FlowAssemblyStage,
@@ -52,6 +55,10 @@ _RING_POLL_SECONDS = 0.001
 #: Bound on the worker's frame-stamped flow->tenant map (fabric mode); the
 #: same leak-guard discipline as the shard router's token memo.
 _TENANT_MEMO_MAX = 1 << 20
+
+#: A ``FlowKey``'s canonical tuple, read without the dataclass's Python
+#: ``__hash__``/``token``.
+_flow_tuple = attrgetter("ip_a", "port_a", "ip_b", "port_b", "protocol")
 
 
 # --------------------------------------------------------------- wire format
@@ -146,10 +153,11 @@ class SyncRequest:
     control travelling on different channels the old queue-FIFO consistent
     cut is gone; the worker restores it by draining its data ring to the
     barrier before computing the delta -- the delta then covers exactly the
-    batches dispatched before the round, as before.  After replying the
-    worker holds off the ring until the matching :class:`Rebase` arrives,
-    so post-barrier batches are learned on top of the merged model rather
-    than being silently discarded by the rebase.
+    batches dispatched before the round.  The worker then marks its
+    replica and keeps serving; the matching :class:`Rebase` carries the
+    post-barrier updates over onto the merged model (``replica <-
+    published + (replica - mark)``), so the next delta again covers exactly
+    the batches after this barrier.
     """
 
     round_id: int
@@ -158,7 +166,8 @@ class SyncRequest:
 
 @dataclass(frozen=True)
 class Rebase:
-    """Coordinator republished the merged model; rebase onto it."""
+    """Coordinator republished the merged model; rebase onto it, keeping
+    the updates learned since the round's barrier."""
 
     round_id: int
     generation: int
@@ -390,9 +399,12 @@ class WorkerRuntime:
         #: batches still replayable in the coordinator's ledger.
         self.predictions: List[Tuple[int, FlowPrediction]] = []
         self.batches_handled = 0
-        self._flow_first_index: Dict[Any, int] = {}
+        #: First batch index of every open flow, keyed by canonical tuple.
+        self._flow_first_index: Dict[FlowTuple, int] = {}
         self.summary = WorkerSummary(worker_id=self.worker_id)
         self.summary.rebase_generation = attached.generation
+        #: The class matrix deltas are measured from: the published model
+        #: at the last rebase, moved to the mark at each barrier.
         self._base = (
             self.classifier.class_vector_snapshot() if self.online else None
         )
@@ -412,7 +424,7 @@ class WorkerRuntime:
         if self.fabric is not None:
             self._note_frame_tenants(frame)
         batch = self._serve(ServingBatch(frame=frame), self.stages, learn=learn)
-        self._advance_watermark()
+        self._advance_watermark(frame.columns().flow_tuples, batch.flows)
         return batch
 
     def handle_flows(self, flows) -> ServingBatch:
@@ -454,16 +466,31 @@ class WorkerRuntime:
         return [prediction for _, prediction in drained]
 
     def compute_delta(self) -> np.ndarray:
-        """The class-matrix update accumulated since the last rebase."""
+        """Report the class-matrix update learned since the base, and mark
+        the replica: later updates belong to the next delta.
+
+        The mark moves the base to ``base + delta`` -- the very sum the
+        coordinator's merge forms -- and re-derives the replica from it.
+        That is a no-op in exact arithmetic; in floating point it makes a
+        lone worker's replica equal the published merge bit for bit, so its
+        :meth:`rebase` changes nothing and frames served before the rebase
+        lands see the model a blocking round would have shown them.
+        """
         if self._base is None:
             return np.zeros_like(self.classifier.class_hypervectors_)
-        return self.classifier.class_vector_delta(self._base)
+        delta = self.classifier.class_vector_delta(self._base)
+        merge_class_deltas(self._base, [delta])
+        self.classifier.set_class_vectors(self._base)
+        return delta
 
     def rebase(self) -> int:
-        """Adopt the currently published (merged) model as the new base."""
-        generation = self.attached.refresh_replica(self.classifier)
-        if self.online:
-            self._base = self.classifier.class_vector_snapshot()
+        """Adopt the published (merged) model, carrying over the updates
+        learned since the mark: ``replica <- published + (replica - mark)``.
+
+        The base becomes the published model, so the next delta covers
+        exactly the batches after the last barrier.
+        """
+        generation = self.attached.refresh_replica(self.classifier, since=self._base)
         self.summary.rebase_generation = generation
         return generation
 
@@ -564,14 +591,27 @@ class WorkerRuntime:
         )
         return batch
 
-    def _advance_watermark(self) -> None:
-        """Refresh the open-flow -> first-batch-index map after one batch."""
+    def _advance_watermark(
+        self, frame_flows: List[FlowTuple], emitted: List[FlowRecord]
+    ) -> None:
+        """Update the open-flow -> first-batch-index map after one frame.
+
+        Only the frame's own flows and the flows it emitted can have opened
+        or closed, so only their keys are touched: the cost follows the
+        frame, not the open-flow count.  A flow still open keeps the index
+        of the batch that first opened its key.
+        """
         index = self.batches_handled
         self.batches_handled += 1
-        previous = self._flow_first_index
-        self._flow_first_index = {
-            key: previous.get(key, index) for key in self.table.active_keys()
-        }
+        first = self._flow_first_index
+        is_open = self.table.is_open
+        for flow in emitted:
+            key = _flow_tuple(flow.key)
+            if not is_open(key):
+                first.pop(key, None)
+        for key in frame_flows:
+            if is_open(key):
+                first.setdefault(key, index)
 
     def _learn(self, batch: ServingBatch) -> None:
         """Fold the batch's known-label flows into the private replica.
@@ -596,13 +636,12 @@ class WorkerRuntime:
             # maps flows open *before* this batch; a flow that opened and
             # closed inside this batch needs only the current index.
             index = self.batches_handled
-            first_of = {
-                key.token: first for key, first in self._flow_first_index.items()
-            }
+            first = self._flow_first_index
             self.predictions.extend(
-                (first_of.get(prediction.token, index), prediction)
-                for prediction in batch_flow_predictions(
-                    batch, self.pipeline.is_attack_class
+                (first.get(_flow_tuple(flow.key), index), prediction)
+                for flow, prediction in zip(
+                    batch.flows,
+                    batch_flow_predictions(batch, self.pipeline.is_attack_class),
                 )
             )
         self.summary.packets += batch.n_packets
@@ -631,9 +670,10 @@ def cluster_worker_main(
 
     With data and control on separate channels, ordering comes from the
     barrier protocol: a control message carrying ``barrier`` is acted on
-    only once this incarnation has handled that many batches, and a
-    :class:`SyncRequest` freezes ring consumption until its :class:`Rebase`
-    lands (see :class:`SyncRequest` for why both halves matter).
+    only once this incarnation has handled that many batches.  Serving
+    never pauses for a sync round: after a :class:`SyncRequest` reply the
+    loop keeps draining the ring, and the later :class:`Rebase` carries
+    the updates learned meanwhile over onto the merged model.
 
     ``heartbeat`` is the coordinator's shared liveness array (one ``double``
     wall-clock slot per worker).  The loop stamps its slot on every ring
@@ -708,7 +748,6 @@ def cluster_worker_main(
 
         def handle_control(message) -> bool:
             """Act on one control message; True means exit the loop."""
-            nonlocal hold_data
             if isinstance(message, ChaosHang):
                 deadline = (
                     time.monotonic() + message.seconds
@@ -744,16 +783,11 @@ def cluster_worker_main(
                         delta=runtime.compute_delta(),
                     )
                 )
-                # Freeze ring consumption until the Rebase lands, so
-                # nothing is learned on the pre-merge model after the cut.
-                hold_data = True
                 return False
             if isinstance(message, Rebase):
                 runtime.rebase()
-                hold_data = False
                 return False
             if isinstance(message, Stop):
-                hold_data = False
                 summary = runtime.finalize()
                 # Computed after finalize() so the shipped delta includes
                 # anything learned from the flushed flows.
@@ -777,7 +811,6 @@ def cluster_worker_main(
             )
 
         pending: deque = deque()
-        hold_data = False
         while True:
             stamp()
             while True:
@@ -796,22 +829,21 @@ def cluster_worker_main(
                 # Barrier not reached: fall through and drain the data ring
                 # (the frames it needs were committed before the control
                 # message was sent).
-            if not hold_data:
-                view = data_ring.try_peek()
-                if view is not None:
-                    seq, learn, frame = decode_frame(view, transport.frame_layout)
-                    batch = runtime.handle_frame(frame, learn=learn)
-                    stamp()
-                    send_ack(seq, frame.n_packets, batch)
-                    # Every reference into the slot must die before release:
-                    # lingering views would make the shm block unclosable
-                    # (BufferError) at shutdown.
-                    batch.frame = None
-                    del view, frame, batch
-                    # Only now is the slot reusable: the batch is fully
-                    # processed and its receipt committed to the result ring.
-                    data_ring.release()
-                    continue
+            view = data_ring.try_peek()
+            if view is not None:
+                seq, learn, frame = decode_frame(view, transport.frame_layout)
+                batch = runtime.handle_frame(frame, learn=learn)
+                stamp()
+                send_ack(seq, frame.n_packets, batch)
+                # Every reference into the slot must die before release:
+                # lingering views would make the shm block unclosable
+                # (BufferError) at shutdown.
+                batch.frame = None
+                del view, frame, batch
+                # Only now is the slot reusable: the batch is fully
+                # processed and its receipt committed to the result ring.
+                data_ring.release()
+                continue
             time.sleep(_RING_POLL_SECONDS)
     finally:
         data_ring.close()

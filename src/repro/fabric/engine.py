@@ -106,18 +106,28 @@ class FabricEngine:
         return self.keyer.tenant_of_key(flow.key)
 
     def _pipeline(self, tenant: int):
-        """The tenant's live replica, re-snapshotting the learning base
-        whenever the alias generation moved (swap or merged deltas)."""
+        """The tenant's live replica, moving the learning base whenever the
+        alias generation moved (swap or merged deltas).
+
+        A dirty lane whose live version did not move keeps its unsynced
+        updates through the rebase (``published + (replica - base)``, the
+        cluster worker's rule); a swap drops them, as :meth:`sync` does.
+        """
         # Read before the generation: a promote stores the live version
         # first, so a racing swap can only make the recorded version stale
         # (sync then drops the update), never newer than the replica's.
         version = self.fabric.live_version(tenant)
         generation = self.fabric.generation(tenant)
-        pipeline = self.fabric.pipeline_for(tenant)
-        if self.online and self._lane_generation.get(tenant) != generation:
+        if not self.online or self._lane_generation.get(tenant) == generation:
+            return self.fabric.pipeline_for(tenant)
+        since = None
+        if tenant in self._dirty and self._lane_version[tenant] == version:
+            since = self._bases[tenant]  # moved to the published matrix
+        pipeline = self.fabric.pipeline_for(tenant, since=since)
+        if since is None:
             self._bases[tenant] = pipeline.classifier.class_vector_snapshot()
-            self._lane_generation[tenant] = generation
-            self._lane_version[tenant] = version
+        self._lane_generation[tenant] = generation
+        self._lane_version[tenant] = version
         return pipeline
 
     def _chain_for(self, tenant: int):

@@ -551,7 +551,9 @@ class AttachedFabric:
             attached = self._attached[key] = AttachedPublication(pub_spec)
         return attached
 
-    def pipeline_for(self, tenant: int) -> DetectionPipeline:
+    def pipeline_for(
+        self, tenant: int, since: Optional[np.ndarray] = None
+    ) -> DetectionPipeline:
         """The tenant's live pipeline replica, rebased/swapped as needed.
 
         Fast path: one generation load, return the cached replica.  On a
@@ -559,7 +561,8 @@ class AttachedFabric:
         the new version and move the lease pin in one store (the old
         version drains the instant the new pin lands); if only the model
         content moved (a delta merge), rebase the existing replica in
-        place.
+        place -- carrying over the updates it learned since ``since``, when
+        given (see :meth:`AttachedPublication.refresh_replica`).
         """
         tenant = int(tenant)
         generation = int(self._alias[tenant, _GEN])
@@ -579,7 +582,9 @@ class AttachedFabric:
             # the registry's drain loop cannot mistake a swap for idleness.
             self._lease[self.reader_id, tenant] = version
         else:
-            self._attach(tenant, version).refresh_replica(replica.pipeline.classifier)
+            self._attach(tenant, version).refresh_replica(
+                replica.pipeline.classifier, since=since
+            )
             replica.alias_generation = generation
         return replica.pipeline
 

@@ -354,9 +354,10 @@ class FlowTable:
         """Number of currently active (unexpired) flows."""
         return len(self._active)
 
-    def active_keys(self) -> List[FlowKey]:
-        """Keys of the currently active flows (for liveness watermarks)."""
-        return [record.key for record in self._active.values()]
+    def is_open(self, flow: FlowTuple) -> bool:
+        """Whether the flow with canonical tuple ``flow`` is active (the
+        cluster worker's liveness-watermark check)."""
+        return flow in self._active
 
     def add_packet(self, packet: Packet) -> List[FlowRecord]:
         """Ingest one packet; returns any flows expired by the packet's timestamp."""

@@ -9,6 +9,7 @@ import os
 import signal
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -551,6 +552,54 @@ class TestFabricEngine:
                 self._learn_unsynced(a, 70)
                 self._learn_unsynced(b, 71)
                 assert a.sync() == [0]
+                assert b.sync() == [0]
+            np.testing.assert_allclose(
+                registry.publication(0).class_matrix,
+                base + alone[0] + alone[1],
+                atol=1e-5,
+            )
+
+    @staticmethod
+    def _serve_unlearnable(engine, at):
+        """One tenant-0 packet whose label the model does not know, far
+        enough in the future to expire every open flow of the lane."""
+        packet = TrafficGenerator(seed=99, subnet="10.0.0").generate(1)[0]
+        samples = engine.online_samples
+        engine.process_packets([replace(packet, timestamp=at, label="unseen")])
+        return engine.online_samples - samples
+
+    def test_rebase_carries_a_lane_update_over_another_readers_merge(
+        self, tenant_pipeline
+    ):
+        """B's unsynced updates survive A's merge: a generation bump from
+        another reader rebases B's lane without dropping what B learned."""
+        base = np.array(tenant_pipeline.classifier.class_hypervectors_, copy=True)
+
+        def learn_b(engine):
+            # B's whole stream is learned here, on the base model: the first
+            # unlearnable packet expires (and learns) every flow left open.
+            self._learn_unsynced(engine, 71)
+            self._serve_unlearnable(engine, 30_000.0)
+
+        alone = []
+        for learn in (lambda e: self._learn_unsynced(e, 70), learn_b):
+            with ModelRegistry(max_tenants=2) as private:
+                private.publish(0, tenant_pipeline)
+                with self._online_engine(private) as engine:
+                    learn(engine)
+                    assert engine.sync() == [0]
+                alone.append(np.array(private.publication(0).class_matrix) - base)
+        with ModelRegistry(max_tenants=2, max_readers=2) as registry:
+            registry.publish(0, tenant_pipeline)
+            with self._online_engine(registry, 0) as a, self._online_engine(
+                registry, 1
+            ) as b:
+                learn_b(b)
+                self._learn_unsynced(a, 70)
+                assert a.sync() == [0]
+                # B's lane sees A's generation bump here and rebases; the
+                # batch teaches it nothing, so B's delta is its stream's.
+                assert self._serve_unlearnable(b, 40_000.0) == 0
                 assert b.sync() == [0]
             np.testing.assert_allclose(
                 registry.publication(0).class_matrix,

@@ -6,7 +6,7 @@ visible so the analytical hardware models can be sanity-checked against it.
 
 Each benchmark is parametrized over the backend dtype policy and appends a
 record to the shared ``bench_records`` fixture; at session end the conftest
-writes them (merged with the :mod:`repro.perf` end-to-end fit comparison) to
+writes them (merged with the :mod:`repro.bench.hdc` end-to-end fit comparison) to
 ``benchmarks/output/BENCH_hdc_primitives.json``.  The checked-in repo-root
 perf-regression baseline of the same name is regenerated with
 ``python -m repro bench``, which runs the same record schema standalone.

@@ -8,7 +8,7 @@ output capturing.
 The HDC-primitive microbenchmarks additionally append machine-readable
 records to the session-scoped ``bench_records`` fixture; at teardown the
 collected records (merged with the end-to-end ``CyberHD.fit`` comparison
-from :mod:`repro.perf` when the sweep is complete) are written to
+from :mod:`repro.bench.hdc` when the sweep is complete) are written to
 ``benchmarks/output/BENCH_hdc_primitives.json``.  The checked-in repo-root
 baseline of the same name is regenerated with ``python -m repro bench``.
 """
@@ -34,8 +34,8 @@ def output_dir() -> Path:
 def bench_records() -> List[Dict[str, Any]]:
     """Session-wide collector for machine-readable benchmark records.
 
-    Benchmarks append dicts in the :func:`repro.perf.make_record` schema; at
-    session end the records are written to
+    Benchmarks append dicts in the :func:`repro.bench.harness.make_record`
+    schema; at session end the records are written to
     ``benchmarks/output/BENCH_hdc_primitives.json``.  The end-to-end fit
     comparison (expensive: two full paper-scale fits) is appended only when
     the session produced a reasonably complete primitive sweep, so running a
@@ -43,7 +43,9 @@ def bench_records() -> List[Dict[str, Any]]:
     The checked-in repo-root baseline is regenerated with
     ``python -m repro bench`` instead.
     """
-    from repro.perf import BENCH_JSON_NAME, bench_fit, write_bench_json
+    from repro.bench.harness import write_bench_json
+    from repro.bench.hdc import bench_fit
+    from repro.matrix.runner import get_suites
 
     records: List[Dict[str, Any]] = []
     yield records
@@ -52,7 +54,7 @@ def bench_records() -> List[Dict[str, Any]]:
     if len({record["op"] for record in records}) >= 5:
         records.extend(bench_fit(repeats=1))
     OUTPUT_DIR.mkdir(exist_ok=True)
-    write_bench_json(records, OUTPUT_DIR / BENCH_JSON_NAME)
+    write_bench_json(records, OUTPUT_DIR / get_suites()["hdc"].baseline_json)
 
 
 def save_result(output_dir: Path, result) -> Path:

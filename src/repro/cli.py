@@ -8,7 +8,6 @@ can be regenerated without writing Python, plus the serving subsystem::
     python -m repro run fig3 fig5 --scale paper --json results.json
     python -m repro datasets
     python -m repro bench --json BENCH_hdc_primitives.json
-    python -m repro bench --suite streaming --json BENCH_streaming.json
     python -m repro bench --suite cluster --workers 4 --json BENCH_cluster.json
     python -m repro bench --suite replay --dataset nsl_kdd --json BENCH_replay.json
     python -m repro bench --suite bitpack --json BENCH_bitpack.json
@@ -37,6 +36,8 @@ from typing import Optional, Sequence
 from repro._version import __version__
 from repro.datasets.loaders import available_datasets, load_dataset
 from repro.eval.harness import ExperimentHarness, HarnessConfig
+from repro.exceptions import ConfigurationError
+from repro.matrix.runner import SUITES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,84 +61,43 @@ def build_parser() -> argparse.ArgumentParser:
     datasets.add_argument("--n-train", type=int, default=1000)
     datasets.add_argument("--n-test", type=int, default=300)
 
+    # SUPPRESS keeps unset suite flags out of the namespace, so each suite's
+    # defaults live only in its entry point.
     bench = subparsers.add_parser(
-        "bench", help="run the perf-regression benchmarks"
+        "bench",
+        help="run one perf-regression benchmark suite",
+        argument_default=argparse.SUPPRESS,
     )
     bench.add_argument(
         "--suite",
-        choices=(
-            "hdc",
-            "streaming",
-            "cluster",
-            "replay",
-            "bitpack",
-            "chaos",
-            "fabric",
-            "cascade",
-            "loadgen",
-            "baselines",
-        ),
+        choices=tuple(SUITES),
         default="hdc",
-        help="hdc: compute-backend primitives; streaming: packets->alerts "
-        "serving path; cluster: sharded multi-worker scaling; replay: "
-        "dataset-to-traffic golden-trace parity + accuracy under load; "
-        "bitpack: packed 1-bit XOR/popcount inference -- kernel speedups, "
-        "packed-vs-offline parity, serving-time fault injection; chaos: "
-        "process-fault recovery (SIGKILL/hang/clean-exit mid-replay) "
-        "measured against the golden trace; fabric: multi-tenant registry "
-        "capacity, hot-swap latency, shadow overhead and per-tenant recall "
-        "isolation; cascade: packed pre-filter + multiclass escalation -- "
-        "throughput vs the float32-only head, escalation fraction, "
-        "escalated-slice recall parity; loadgen: scenario grading -- "
-        "per-attack-type recall across load points vs the closed-loop "
-        "baseline; baselines: HDC vs the numpy SVM/MLP learners "
-        "(train-time speedups + accuracy parity)",
-    )
-    bench.add_argument("--dim", type=int, default=None, help="hypervector dimensionality")
-    bench.add_argument("--repeats", type=int, default=3, help="best-of repeat count")
-    bench.add_argument(
-        "--packets", type=int, default=50_000, help="streaming suite: packets in the workload"
-    )
-    bench.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        help="packets per micro-batch (suite defaults: streaming 1000, replay 512)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="small workloads for a fast smoke run"
-    )
-    bench.add_argument(
-        "--workers", type=int, default=4, help="cluster suite: worker processes"
-    )
-    bench.add_argument(
-        "--scenario",
-        default="mixed_benign",
-        help="cluster suite: load scenario (see repro.cluster.loadgen)",
-    )
-    bench.add_argument(
-        "--dataset",
-        default="nsl_kdd",
-        help="replay suite: dataset to compile into the replayed trace",
-    )
-    bench.add_argument(
-        "--flows-scale",
-        type=float,
-        default=2.0,
-        help="cluster suite: scenario flow-count multiplier",
-    )
-    bench.add_argument(
-        "--tenants",
-        type=int,
-        default=128,
-        help="fabric suite: tenants resident for the capacity record",
+        help="benchmark suite (each is described in repro.bench.<suite>)",
     )
     bench.add_argument(
         "--json",
         metavar="PATH",
         default=None,
         help="where to write the machine-readable records "
-        "(default: BENCH_<suite>.json)",
+        "(default: the suite's checked-in BENCH_*.json)",
+    )
+    params = bench.add_argument_group(
+        "suite parameters",
+        "forwarded to the suite only when given (its entry point holds the "
+        "defaults); a flag the suite does not take exits 2",
+    )
+    params.add_argument("--dim", type=int, help="hypervector dimensionality")
+    params.add_argument("--repeats", type=int, help="best-of repeat count")
+    params.add_argument("--window", type=int, help="packets per micro-batch")
+    params.add_argument(
+        "--quick", action="store_true", help="small workloads for a fast smoke run"
+    )
+    params.add_argument("--workers", type=int, help="worker processes")
+    params.add_argument("--scenario", help="load scenario (see repro.cluster.loadgen)")
+    params.add_argument("--dataset", help="dataset to compile into the replayed trace")
+    params.add_argument("--flows-scale", type=float, help="scenario flow-count multiplier")
+    params.add_argument(
+        "--tenants", type=int, help="tenants resident for the capacity record"
     )
 
     replay = subparsers.add_parser(
@@ -526,109 +486,20 @@ def _command_datasets(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        BENCH_BASELINES_JSON_NAME,
-        BENCH_BITPACK_JSON_NAME,
-        BENCH_CASCADE_JSON_NAME,
-        BENCH_CHAOS_JSON_NAME,
-        BENCH_CLUSTER_JSON_NAME,
-        BENCH_FABRIC_JSON_NAME,
-        BENCH_JSON_NAME,
-        BENCH_LOADGEN_JSON_NAME,
-        BENCH_REPLAY_JSON_NAME,
-        BENCH_STREAMING_JSON_NAME,
-        format_table,
-        run_baseline_benchmarks,
-        run_benchmarks,
-        run_bitpack_benchmarks,
-        run_cascade_benchmarks,
-        run_chaos_benchmarks,
-        run_cluster_benchmarks,
-        run_fabric_benchmarks,
-        run_loadgen_benchmarks,
-        run_replay_benchmarks,
-        run_streaming_benchmarks,
-        write_bench_json,
-    )
+    from repro.bench.harness import format_table, write_bench_json
+    from repro.matrix.runner import check_params, get_suites
 
-    if args.suite == "streaming":
-        records = run_streaming_benchmarks(
-            n_packets=args.packets,
-            window=args.window if args.window is not None else 1000,
-            dim=args.dim or 256,
-            repeats=args.repeats,
-            quick=args.quick,
-        )
-        default_json = BENCH_STREAMING_JSON_NAME
-    elif args.suite == "cluster":
-        records = run_cluster_benchmarks(
-            scenario=args.scenario,
-            workers=args.workers,
-            flows_scale=args.flows_scale,
-            dim=args.dim or 256,
-            quick=args.quick,
-        )
-        default_json = BENCH_CLUSTER_JSON_NAME
-    elif args.suite == "replay":
-        records = run_replay_benchmarks(
-            dataset=args.dataset,
-            workers=args.workers,
-            window=args.window,
-            dim=args.dim,
-            quick=args.quick,
-        )
-        default_json = BENCH_REPLAY_JSON_NAME
-    elif args.suite == "bitpack":
-        records = run_bitpack_benchmarks(
-            workers=args.workers,
-            dim=args.dim,
-            quick=args.quick,
-        )
-        default_json = BENCH_BITPACK_JSON_NAME
-    elif args.suite == "chaos":
-        records = run_chaos_benchmarks(
-            dataset=args.dataset,
-            workers=args.workers,
-            dim=args.dim,
-            quick=args.quick,
-        )
-        default_json = BENCH_CHAOS_JSON_NAME
-    elif args.suite == "fabric":
-        records = run_fabric_benchmarks(
-            tenants=args.tenants,
-            dim=args.dim,
-            quick=args.quick,
-        )
-        default_json = BENCH_FABRIC_JSON_NAME
-    elif args.suite == "cascade":
-        records = run_cascade_benchmarks(
-            dim=args.dim,
-            quick=args.quick,
-        )
-        default_json = BENCH_CASCADE_JSON_NAME
-    elif args.suite == "loadgen":
-        records = run_loadgen_benchmarks(
-            dim=args.dim,
-            quick=args.quick,
-        )
-        default_json = BENCH_LOADGEN_JSON_NAME
-    elif args.suite == "baselines":
-        records = run_baseline_benchmarks(
-            dataset=args.dataset,
-            dim=args.dim,
-            quick=args.quick,
-        )
-        default_json = BENCH_BASELINES_JSON_NAME
-    else:
-        records = run_benchmarks(
-            dim=args.dim or 500, repeats=args.repeats, quick=args.quick
-        )
-        default_json = BENCH_JSON_NAME
+    binding = get_suites()[args.suite]
+    params = {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "suite", "json")
+    }
+    check_params(binding, params, "command line")
+    records = binding.runner(**params)
     print(format_table(records))
-    json_path = args.json or default_json
-    if json_path:
-        path = write_bench_json(records, json_path)
-        print(f"\nbenchmark records written to {path}")
+    path = write_bench_json(records, args.json or binding.baseline_json)
+    print(f"\nbenchmark records written to {path}")
     return 0
 
 
@@ -1161,7 +1032,6 @@ def _fabric_mirror_packets(args: argparse.Namespace, tenant: int):
 def _command_fabric(args: argparse.Namespace) -> int:
     import os
 
-    from repro.exceptions import ConfigurationError
     from repro.fabric import ModelRegistry, ShadowDeployment
 
     if not getattr(args, "fabric_command", None):
@@ -1506,9 +1376,17 @@ def _command_matrix(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (2: bad configuration)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(parser, args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "list":
         return _command_list()
     if args.command == "run":

@@ -1,7 +1,8 @@
 """Declarative experiment matrix: specs, cached cells, significance gates.
 
 One YAML spec names a grid of benchmark cells (suite × parameters), each
-cell is executed through the existing ``repro.perf`` suite runners behind a
+cell is executed through its suite's ``repro.bench.<suite>.run`` entry point
+(bound by the suite registry in :mod:`repro.matrix.runner`) behind a
 content-addressed result cache, and the sweep emits one provenance-stamped
 ``repro-matrix/1`` report that ``matrix diff`` gates against the checked-in
 ``BENCH_*.json`` baselines (floors, parity, tolerance) plus paired

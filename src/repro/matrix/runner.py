@@ -1,20 +1,24 @@
 """Matrix execution: cells → cached results → one report artifact.
 
-``run_matrix`` walks a spec's cells in order, keys each against the
-:mod:`result cache <repro.matrix.cache>`, executes misses through the
-suite's ``run_*_benchmarks`` entry point in :mod:`repro.perf` (``repeats``
-times, aggregating per-repeat samples), and emits a single provenance-
-stamped report (schema ``repro-matrix/1``).
+``SUITES`` is the one suite registry: ``repro bench`` and ``run_matrix``
+both dispatch through :func:`get_suites`.  ``run_matrix`` walks a spec's
+cells in order, keys each against the :mod:`result cache
+<repro.matrix.cache>`, executes misses through the suite's
+``repro.bench.<suite>.run`` entry point (``repeats`` times, aggregating
+per-repeat samples), and emits a single provenance-stamped report (schema
+``repro-matrix/1``).
 
 ``diff_matrix`` is the gate: per cell it reuses
-:func:`repro.perf.diff_bench_payloads` against the suite's checked-in
-``BENCH_*.json`` (parity, relative-speedup tolerance, absolute floors —
-exactly the checks the pre-matrix CI ran as seven separate jobs), then adds
-the spec's paired-significance comparisons on the per-repeat samples.
+:func:`repro.bench.harness.diff_bench_payloads` against the suite's
+checked-in ``BENCH_*.json`` (parity, relative-speedup tolerance, absolute
+floors), then adds the spec's paired-significance comparisons on the
+per-repeat samples.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import time
 from dataclasses import dataclass, replace
@@ -28,9 +32,9 @@ from repro.matrix.stats import aggregate_samples, compare_cells, find_samples
 
 REPORT_SCHEMA = "repro-matrix/1"
 
-#: Modules every suite exercises (the training/benchmark substrate).
+#: Modules every suite exercises (the harness and the training substrate).
 _COMMON_MODULES = (
-    "repro.perf",
+    "repro.bench.harness",
     "repro.hdc",
     "repro.core",
     "repro.models",
@@ -38,25 +42,24 @@ _COMMON_MODULES = (
     "repro.utils",
 )
 
-#: Extra modules per suite, for the code fingerprint: a source edit outside
-#: a suite's set leaves its cached cells valid.
-_SUITE_MODULES: Dict[str, Tuple[str, ...]] = {
-    "hdc": (),
-    "streaming": ("repro.nids", "repro.serving"),
-    "cluster": ("repro.nids", "repro.serving", "repro.cluster"),
-    "replay": ("repro.nids", "repro.serving", "repro.cluster", "repro.replay"),
-    "bitpack": (
-        "repro.nids",
-        "repro.serving",
-        "repro.cluster",
-        "repro.replay",
-        "repro.persistence",
-    ),
-    "chaos": ("repro.nids", "repro.serving", "repro.cluster", "repro.replay"),
-    "fabric": ("repro.nids", "repro.serving", "repro.fabric", "repro.persistence"),
-    "cascade": ("repro.nids", "repro.serving", "repro.cascade", "repro.persistence"),
-    "loadgen": ("repro.nids", "repro.serving", "repro.cluster", "repro.replay"),
-    "baselines": ("repro.baselines",),
+_SERVING = ("repro.nids", "repro.serving")
+_REPLAY = _SERVING + ("repro.cluster", "repro.replay")
+
+#: The suite registry: name -> (checked-in baseline, the subsystem packages
+#: the suite exercises).  Each suite's entry point is ``repro.bench.<name>.run``
+#: and its defaults live only in that function's signature; the code
+#: fingerprint covers ``_COMMON_MODULES``, the suite's own module and these
+#: packages, so an edit elsewhere leaves its cached cells valid.
+SUITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "hdc": ("BENCH_hdc_primitives.json", ()),
+    "cluster": ("BENCH_cluster.json", _SERVING + ("repro.cluster",)),
+    "replay": ("BENCH_replay.json", _REPLAY),
+    "bitpack": ("BENCH_bitpack.json", _REPLAY + ("repro.persistence",)),
+    "chaos": ("BENCH_chaos.json", _REPLAY),
+    "fabric": ("BENCH_fabric.json", _SERVING + ("repro.fabric", "repro.persistence")),
+    "cascade": ("BENCH_cascade.json", _SERVING + ("repro.cascade", "repro.persistence")),
+    "loadgen": ("BENCH_loadgen.json", _REPLAY),
+    "baselines": ("BENCH_baselines.json", ("repro.baselines",)),
 }
 
 #: Record fields that are identity, not measurement: never averaged across
@@ -78,49 +81,30 @@ _suites_cache: Optional[Dict[str, SuiteBinding]] = None
 
 
 def get_suites() -> Dict[str, SuiteBinding]:
-    """The suite registry (lazy: importing the matrix stays cheap)."""
+    """The bound registry (lazy: importing the matrix stays cheap)."""
     global _suites_cache
-    if _suites_cache is not None:
-        return _suites_cache
-    from repro import perf
-
-    def binding(name: str, runner: Callable[..., List[Dict[str, Any]]], baseline: str):
-        return SuiteBinding(
-            name=name,
-            runner=runner,
-            baseline_json=baseline,
-            modules=_COMMON_MODULES + _SUITE_MODULES.get(name, ()),
-        )
-
-    _suites_cache = {
-        "hdc": binding("hdc", perf.run_benchmarks, perf.BENCH_JSON_NAME),
-        "streaming": binding(
-            "streaming", perf.run_streaming_benchmarks, perf.BENCH_STREAMING_JSON_NAME
-        ),
-        "cluster": binding(
-            "cluster", perf.run_cluster_benchmarks, perf.BENCH_CLUSTER_JSON_NAME
-        ),
-        "replay": binding(
-            "replay", perf.run_replay_benchmarks, perf.BENCH_REPLAY_JSON_NAME
-        ),
-        "bitpack": binding(
-            "bitpack", perf.run_bitpack_benchmarks, perf.BENCH_BITPACK_JSON_NAME
-        ),
-        "chaos": binding("chaos", perf.run_chaos_benchmarks, perf.BENCH_CHAOS_JSON_NAME),
-        "fabric": binding(
-            "fabric", perf.run_fabric_benchmarks, perf.BENCH_FABRIC_JSON_NAME
-        ),
-        "cascade": binding(
-            "cascade", perf.run_cascade_benchmarks, perf.BENCH_CASCADE_JSON_NAME
-        ),
-        "loadgen": binding(
-            "loadgen", perf.run_loadgen_benchmarks, perf.BENCH_LOADGEN_JSON_NAME
-        ),
-        "baselines": binding(
-            "baselines", perf.run_baseline_benchmarks, perf.BENCH_BASELINES_JSON_NAME
-        ),
-    }
+    if _suites_cache is None:
+        _suites_cache = {
+            name: SuiteBinding(
+                name=name,
+                runner=importlib.import_module(f"repro.bench.{name}").run,
+                baseline_json=baseline,
+                modules=_COMMON_MODULES + (f"repro.bench.{name}",) + packages,
+            )
+            for name, (baseline, packages) in SUITES.items()
+        }
     return _suites_cache
+
+
+def check_params(binding: SuiteBinding, params: Dict[str, Any], where: str) -> None:
+    """Raise :class:`ConfigurationError` unless the suite takes ``params``."""
+    try:
+        inspect.signature(binding.runner).bind(**params)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"{where}: suite {binding.name!r} rejected its parameters "
+            f"{params!r}: {exc}"
+        ) from exc
 
 
 # ------------------------------------------------------------- cell execution
@@ -201,16 +185,11 @@ def run_cell(
     cell: MatrixCell,
 ) -> Dict[str, Any]:
     """Execute one cell (``cell.repeats`` suite runs) into a payload."""
+    check_params(binding, cell.params_dict, f"cell {cell.cell_id!r}")
     runs: List[List[Dict[str, Any]]] = []
     start = time.perf_counter()
     for _ in range(cell.repeats):
-        try:
-            runs.append(binding.runner(**cell.params_dict))
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"cell {cell.cell_id!r}: suite {cell.suite!r} rejected its "
-                f"parameters {cell.params_dict!r}: {exc}"
-            ) from exc
+        runs.append(binding.runner(**cell.params_dict))
     wall_seconds = time.perf_counter() - start
     records, aggregates = _aggregate_runs(runs)
     return {
@@ -245,7 +224,7 @@ def run_matrix(
     ``use_cache=False`` bypasses the cache entirely (read and write).
     """
     suites = suites if suites is not None else get_suites()
-    from repro.perf import bench_provenance
+    from repro.bench.harness import bench_provenance
 
     cache = ResultCache(cache_dir)
     emit = progress or (lambda message: None)
@@ -320,13 +299,13 @@ def diff_matrix(
     """Gate a matrix report: per-cell bench diffs + paired significance.
 
     Per cell the fresh records diff against the suite's checked-in
-    ``BENCH_*.json`` via :func:`repro.perf.diff_bench_payloads` with the
+    ``BENCH_*.json`` via :func:`repro.bench.harness.diff_bench_payloads` with the
     spec's tolerance and floors, which is what lets one ``matrix diff``
     subsume the old per-suite CI gates.  Spec comparisons then run
     :func:`repro.matrix.stats.compare_cells` on the per-repeat samples;
     only a significance-*confirmed* regression fails the gate.
     """
-    from repro.perf import diff_bench_payloads
+    from repro.bench.harness import diff_bench_payloads
 
     suites = suites if suites is not None else get_suites()
     baseline_dir = Path(baseline_dir)

@@ -316,7 +316,8 @@ class TestDtypeEquivalence:
 
 class TestBenchHarness:
     def test_records_and_json_roundtrip(self, tmp_path):
-        from repro.perf import bench_primitives, write_bench_json
+        from repro.bench.harness import write_bench_json
+        from repro.bench.hdc import bench_primitives
 
         records = bench_primitives(dim=64, n=64, features=8, repeats=1)
         assert records, "harness produced no records"
@@ -341,7 +342,7 @@ class TestBenchHarness:
 
     def test_legacy_fit_reference_trains(self):
         from repro.core.config import CyberHDConfig
-        from repro.perf import legacy_fit_cyberhd
+        from repro.bench.hdc import legacy_fit_cyberhd
 
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(120, 6))

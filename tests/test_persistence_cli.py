@@ -92,15 +92,3 @@ class TestServeCLI:
         assert main(["serve", "--flows", "40", "--model", saved]) == 0
         out = capsys.readouterr().out
         assert "loaded pipeline" in out
-
-    def test_bench_streaming_suite(self, tmp_path, capsys):
-        json_path = str(tmp_path / "BENCH_streaming.json")
-        assert main([
-            "bench", "--suite", "streaming", "--quick", "--repeats", "1",
-            "--json", json_path,
-        ]) == 0
-        import json as _json
-
-        payload = _json.load(open(json_path))
-        ops = {record["op"] for record in payload["records"]}
-        assert {"streaming_serve", "streaming_seed_equivalent", "streaming_speedup"} <= ops

@@ -35,7 +35,7 @@ from repro.core.cyberhd import CyberHD
 from repro.exceptions import ConfigurationError
 from repro.nids.packets import Packet, TrafficGenerator
 from repro.nids.pipeline import DetectionPipeline
-from repro.perf import diff_bench_payloads
+from repro.bench.harness import diff_bench_payloads
 from repro.serving.stages import FlowPrediction
 
 

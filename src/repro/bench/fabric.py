@@ -8,6 +8,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.bench.harness import make_record
+from repro.exceptions import ConfigurationError
 
 
 def _fabric_recall(pipeline, packets) -> float:
@@ -242,9 +243,13 @@ def run(
     ``quick`` shrinks flows and swap repetitions for the CI smoke but keeps
     the tenant count -- the capacity record's whole point is demonstrating
     100+ tenants resident at once, and a smoke that publishes 8 would gate
-    nothing.
+    nothing, so fewer than 100 is a configuration error.
     """
-    tenants = max(tenants, 100)
+    if tenants < 100:
+        raise ConfigurationError(
+            f"the fabric suite needs tenants >= 100 (the capacity record "
+            f"demonstrates 100+ resident tenants); got {tenants}"
+        )
     if quick:
         return bench_fabric(
             tenants=tenants,

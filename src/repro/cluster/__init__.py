@@ -27,8 +27,14 @@ merge_class_deltas``) and the merged model is republished to every replica.
     merge, republish), graceful drain, aggregate reporting.
 
 ``supervision``
-    The self-healing layer: heartbeat watchdog, in-flight batch ledger,
-    :class:`RetryPolicy`-driven respawn/redispatch/shed recovery.
+    The self-healing layer: heartbeat watchdog, :class:`RetryPolicy`,
+    failure and recovery accounting.
+
+``state``
+    :class:`ClusterState` -- the coordinator's pure decision core: one
+    record per worker (incarnation, batch ledger, ``synced_through``, ack
+    tallies), sync-round barriers and report acceptance, and the
+    respawn/replay/shed recovery decisions.
 
 ``chaos``
     Scripted SIGKILL/hang/delay/exit fault schedules injected mid-replay,
@@ -67,8 +73,8 @@ from repro.cluster.shared_model import (
     ModelPublication,
     PublicationSpec,
 )
+from repro.cluster.state import ClusterState, WorkerRecord
 from repro.cluster.supervision import (
-    BatchLedger,
     FailureRecord,
     RecoveryStats,
     RetryPolicy,
@@ -85,7 +91,8 @@ __all__ = [
     "RecoveryStats",
     "FailureRecord",
     "WorkerFailure",
-    "BatchLedger",
+    "ClusterState",
+    "WorkerRecord",
     "Watchdog",
     "ChaosEvent",
     "ChaosSchedule",

@@ -20,13 +20,17 @@ The coordinator owns the cluster:
   against the round-start state (see ``docs/cluster.md``);
 * it **supervises** the workers (:mod:`repro.cluster.supervision`): a
   watchdog thread detects crashes and hangs from process liveness plus a
-  shared heartbeat array, a batch ledger retains every dispatched batch
-  until the worker's ack watermark releases it, and a
-  :class:`~repro.cluster.supervision.RetryPolicy` drives recovery -- respawn
-  against the still-live shm publication, flow-exact redispatch of the dead
-  worker's retained batches, quorum-tolerant sync rounds, and load shedding
-  (or ring failover) once the respawn budget is spent.  See
-  ``docs/robustness.md`` ("Process faults and chaos testing").
+  shared heartbeat array, and recovery follows a
+  :class:`~repro.cluster.supervision.RetryPolicy` -- respawn against the
+  still-live shm publication, flow-exact redispatch of the dead worker's
+  retained batches, quorum-tolerant sync rounds, and load shedding (or ring
+  failover) once the respawn budget is spent.  See ``docs/robustness.md``
+  ("Process faults and chaos testing").
+
+Every supervision and round *decision* -- the per-worker batch ledger,
+barriers, which reports a round owes and accepts, respawn or exhaust, the
+replay set -- is made by the pure :class:`~repro.cluster.state.ClusterState`;
+the coordinator is the shell that does the I/O it is told to do.
 
 With data and control on separate channels (rings vs a small control
 queue), the old queue-FIFO consistent cut is replaced by a **barrier
@@ -52,7 +56,7 @@ import queue as queue_module
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.ring import (
@@ -71,8 +75,8 @@ from repro.cluster.ring import (
 )
 from repro.cluster.router import ShardRouter
 from repro.cluster.shared_model import ModelPublication
+from repro.cluster.state import ClusterState, Recovery
 from repro.cluster.supervision import (
-    BatchLedger,
     FailureRecord,
     RecoveryStats,
     RetryPolicy,
@@ -91,7 +95,7 @@ from repro.cluster.worker import (
     WorkerSummary,
     cluster_worker_main,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ClusterError, ConfigurationError
 from repro.hdc.backend import merge_class_deltas
 from repro.nids.packets import Packet
 from repro.nids.pipeline import DetectionPipeline
@@ -138,9 +142,9 @@ class ClusterConfig:
     retry:
         The supervision :class:`RetryPolicy`.  ``None`` means supervision
         with default parameters -- worker failure is always *detected*;
-        ``RetryPolicy(max_respawns=0, shed_when_exhausted=False)`` restores
-        the old fail-fast behaviour (first failure raises, naming the
-        unacked batch seqs).
+        ``RetryPolicy(max_respawns=0, on_exhausted="raise")`` restores the
+        old fail-fast behaviour (first failure raises, naming the unacked
+        batch seqs).
     fabric_spec:
         Multi-tenant fabric attach table (:class:`repro.fabric.registry.
         RegistrySpec`).  When set (together with ``tenant_keyer``), the
@@ -299,16 +303,6 @@ class ClusterReport:
         }
 
 
-@dataclass(frozen=True)
-class _SyncRound:
-    """A sync round in flight: its id and, per worker that got the request,
-    ``(incarnation, barrier)`` -- the incarnation it reached and the
-    worker's dispatch count when it was sent."""
-
-    round_id: int
-    candidates: Dict[int, Tuple[int, int]]
-
-
 class ClusterCoordinator:
     """Runs a trained pipeline as a sharded multi-process serving cluster.
 
@@ -355,21 +349,12 @@ class ClusterCoordinator:
         self._worker_configs: List[WorkerConfig] = []
         self._seq = 0
         self._dispatches_since_sync = 0
-        self.sync_rounds = 0
-        #: The sync round in flight, if any (at most one).
-        self._round: Optional[_SyncRound] = None
         self._started = False
         # ------------------------------------------------------- transport
         self._frame_layout = FrameSlotLayout.for_batch_size(self.config.batch_size)
         self._ack_layout = AckSlotLayout(
             pred_capacity=min(self.config.batch_size, 1024)
         )
-        self._ring_token = ""
-        self._data_rings: List[Optional[ShmRing]] = []
-        self._result_rings: List[Optional[ShmRing]] = []
-        self._transports: List[Optional[TransportSpec]] = []
-        self.transport = TransportStats()
-        self._routing_cpu_seconds = 0.0
         # ----------------------------------------------------- supervision
         #: Guards the (incarnation, process, expected_exit, heartbeat) rows
         #: the watchdog thread snapshots; recovery itself runs only on the
@@ -377,23 +362,21 @@ class ClusterCoordinator:
         self._lock = threading.Lock()
         self._watchdog: Optional[Watchdog] = None
         self._heartbeats: Optional[Any] = None
-        self._ledger: Optional[BatchLedger] = None
-        self._incarnation: List[int] = []
-        self._expected_exit: List[bool] = []
-        self._shed: List[bool] = []
-        self._respawns: List[int] = []
-        #: Per-worker dispatch index below which updates were already merged
-        #: at a sync round; redispatched batches below it carry
-        #: ``learn=False`` so their samples are not double-counted.
-        self._synced_through: List[int] = []
-        #: Per-incarnation tallies reconstructed from acks -- the surviving
-        #: evidence of a dead incarnation's work.
-        self._ack_tallies: List[Dict[str, int]] = []
+        self._reset()
+
+    def _reset(self) -> None:
+        """Fresh per-run state: decision core, rings, reports, accounting."""
+        n = self.config.n_workers
+        self.state = ClusterState(n, self.policy)
+        self._ring_token = transport_token()
+        self._data_rings: List[Optional[ShmRing]] = [None] * n
+        self._result_rings: List[Optional[ShmRing]] = [None] * n
+        self._transports: List[Optional[TransportSpec]] = [None] * n
         self._pending: Deque[Any] = deque()
         self._pred_records: Dict[str, Any] = {}
         self._failover_router: Optional[ShardRouter] = None
-        self._shed_stats = BackpressureStats()
-        self.recovery = RecoveryStats()
+        self.transport = TransportStats()
+        self._routing_cpu_seconds = 0.0
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -409,27 +392,9 @@ class ClusterCoordinator:
         method = cfg.start_method
         if method is None:
             method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(method)
-        self._ctx = ctx
+        self._ctx = ctx = mp.get_context(method)
         n = cfg.n_workers
-        self._incarnation = [0] * n
-        self._expected_exit = [False] * n
-        self._shed = [False] * n
-        self._respawns = [0] * n
-        self._synced_through = [0] * n
-        self._ack_tallies = [self._zero_tally() for _ in range(n)]
-        self._pending = deque()
-        self._pred_records = {}
-        self._failover_router = None
-        self._shed_stats = BackpressureStats()
-        self.recovery = RecoveryStats()
-        self.transport = TransportStats()
-        self._routing_cpu_seconds = 0.0
-        self._ledger = BatchLedger(n, max_retained=self.policy.max_retained_batches)
-        self._ring_token = transport_token()
-        self._data_rings = [None] * n
-        self._result_rings = [None] * n
-        self._transports = [None] * n
+        self._reset()
         try:
             self.publication = ModelPublication(self.pipeline)
             spec = self.publication.spec()
@@ -449,7 +414,6 @@ class ClusterCoordinator:
             self._processes = []
             self._worker_configs = []
             for worker_id in range(n):
-                self._create_rings(worker_id, incarnation=0)
                 worker_config = WorkerConfig(
                     worker_id=worker_id,
                     n_workers=n,
@@ -460,7 +424,7 @@ class ClusterCoordinator:
                     # Ring failover re-homes a dead shard's keys onto the
                     # survivors, which the per-worker shard guard would
                     # reject as misrouted.
-                    enforce_shard_guard=not self.policy.failover,
+                    enforce_shard_guard=self.policy.on_exhausted != "failover",
                     capture_predictions=cfg.capture_predictions,
                     heartbeat_interval=self.policy.heartbeat_interval,
                     fabric_spec=cfg.fabric_spec,
@@ -468,23 +432,7 @@ class ClusterCoordinator:
                     cascade_spec=cascade_spec,
                 )
                 self._worker_configs.append(worker_config)
-                # Control-plane only (sync/chaos/stop): rare and small, so
-                # unbounded; the data plane's bound is the ring itself.
-                inbox = ctx.Queue()
-                self._heartbeats[worker_id] = time.time()
-                process = ctx.Process(
-                    target=cluster_worker_main,
-                    args=(
-                        worker_config,
-                        inbox,
-                        self._outbox,
-                        self._heartbeats,
-                        self._transports[worker_id],
-                    ),
-                    name=f"repro-cluster-worker-{worker_id}",
-                    daemon=True,
-                )
-                process.start()
+                inbox, process = self._spawn(worker_id, incarnation=0)
                 self._inboxes.append(inbox)
                 self._processes.append(process)
             self._watchdog = Watchdog(self._supervision_snapshot, self.policy)
@@ -590,15 +538,15 @@ class ClusterCoordinator:
         start = time.perf_counter()
         try:
             self._service_events()
-            if self._round is not None:
+            if self.state.round is not None:
                 # The last round lands before Stop, so the final deltas
                 # cover exactly the batches after its barrier.
                 self.sync_models(new_round=False)
             expected: Dict[int, int] = {}
             for worker_id in range(self.config.n_workers):
-                while not self._shed[worker_id]:
+                while not self.state.workers[worker_id].shed:
                     if self._send_stop(worker_id):
-                        expected[worker_id] = self._incarnation[worker_id]
+                        expected[worker_id] = self.state.workers[worker_id].incarnation
                         break
                     # The worker was respawned mid-put; Stop the fresh
                     # incarnation (its Stop barrier covers the redispatched
@@ -614,47 +562,33 @@ class ClusterCoordinator:
         # absorb them before the rings are unlinked or their predictions
         # (and watermarks) die with the shm blocks.
         self._drain_ring_acks()
-        if self._watchdog is not None:
-            self._watchdog.stop()
-            self._watchdog = None
         final_deltas = [r.final_delta for r in reports if r.final_delta is not None]
         if final_deltas:
-            merge_class_deltas(
-                self.publication.class_matrix, final_deltas, self.publication.class_norms
-            )
-            self.publication.repack()
+            self._merge(final_deltas)
             self.publication.bump_generation()
         # Fold the cluster-adapted model back into the coordinator's pipeline.
         self.pipeline.classifier.set_class_vectors(self.publication.class_matrix)
         generation = self.publication.generation
         for process in self._processes:
             process.join(timeout=10.0)
-        for process in self._processes:
-            if process.is_alive():  # pragma: no cover - hung worker
-                # Workers ignore SIGTERM (shutdown is the coordinator's
-                # message-driven decision), so a hung one needs SIGKILL.
-                process.kill()
-                process.join(timeout=5.0)
-        self.publication.close()
-        self.publication = None
-        if self.prefilter_publication is not None:
-            self.prefilter_publication.close()
-            self.prefilter_publication = None
-        self._close_rings()
-        self._started = False
+        # Reap what is left (a hung worker needs SIGKILL) and free the shm.
+        self._abort()
         if self.config.capture_predictions:
             for report in sorted(reports, key=lambda r: r.summary.worker_id):
                 self._absorb_predictions(report.predictions or [])
         summaries = {r.summary.worker_id: r.summary for r in reports}
         for worker_id in range(self.config.n_workers):
             if worker_id not in summaries:
-                summaries[worker_id] = self._synthesize_summary(worker_id)
+                # A shed worker never files a report; rebuild it from acks.
+                summaries[worker_id] = WorkerSummary(
+                    worker_id=worker_id, **self.state.shed_tally(worker_id)
+                )
         # The workers' half of the backpressure picture: waits on a full
         # result ring, reported in each final summary.
         self.transport.result_ring_stalls = sum(
             s.ring_stalls for s in summaries.values()
         )
-        self.recovery.ledger_evictions = self._ledger.evictions if self._ledger else 0
+        shed = self.state.recovery.shed_batches
         flow_predictions = (
             list(self._pred_records.values())
             if self.config.capture_predictions
@@ -663,12 +597,15 @@ class ClusterCoordinator:
         return ClusterReport(
             workers=[summaries[w] for w in sorted(summaries)],
             wall_seconds=time.perf_counter() - start,
-            sync_rounds=self.sync_rounds,
+            sync_rounds=self.state.sync_rounds,
             generation=generation,
             flow_predictions=flow_predictions,
-            recovery=self.recovery,
+            recovery=self.state.recovery,
+            # Shed load in the bounded ingest queue's drop counters.
             shed_stats=(
-                self._shed_stats.to_dict() if self._shed_stats.submitted else None
+                BackpressureStats(submitted=shed, dropped_oldest=shed).to_dict()
+                if shed
+                else None
             ),
             transport=self.transport.to_dict(),
             routing_cpu_seconds=self._routing_cpu_seconds,
@@ -710,25 +647,17 @@ class ClusterCoordinator:
         return self._put_control(worker_id, message)
 
     # ------------------------------------------------------------- internals
-    def _zero_tally(self) -> Dict[str, int]:
-        return {"packets": 0, "flows": 0, "alerts": 0}
-
-    def _supervision_snapshot(self) -> List[Tuple[int, int, Any, bool, float]]:
+    def _supervision_snapshot(self) -> List[Any]:
         """Consistent worker rows for the watchdog (see :class:`Watchdog`)."""
         with self._lock:
             return [
-                (
-                    worker_id,
-                    self._incarnation[worker_id],
-                    self._processes[worker_id],
-                    self._expected_exit[worker_id] or self._shed[worker_id],
-                    self._heartbeats[worker_id],
-                )
-                for worker_id in range(len(self._processes))
+                (w, rec.incarnation, process, rec.expected_exit or rec.shed, self._heartbeats[w])
+                for w, (rec, process) in enumerate(zip(self.state.workers, self._processes))
             ]
 
-    def _create_rings(self, worker_id: int, incarnation: int) -> None:
-        """Create a worker incarnation's data/result ring pair."""
+    def _spawn(self, worker_id: int, incarnation: int) -> Tuple[Any, Any]:
+        """Start one worker incarnation on a fresh ring pair and control
+        queue; returns ``(inbox, process)``."""
         data = ShmRing.create(
             ring_name(self._ring_token, "d", worker_id, incarnation),
             n_slots=self.config.queue_capacity,
@@ -751,6 +680,25 @@ class ClusterCoordinator:
             frame_layout=self._frame_layout,
             ack_layout=self._ack_layout,
         )
+        # Control-plane only (sync/chaos/stop): rare and small, so
+        # unbounded; the data plane's bound is the ring itself.
+        inbox = self._ctx.Queue()
+        self._heartbeats[worker_id] = time.time()
+        process = self._ctx.Process(
+            target=cluster_worker_main,
+            args=(
+                self._worker_configs[worker_id],
+                inbox,
+                self._outbox,
+                self._heartbeats,
+                self._transports[worker_id],
+            ),
+            name=f"repro-cluster-worker-{worker_id}"
+            + (f"-r{incarnation}" if incarnation else ""),
+            daemon=True,
+        )
+        process.start()
+        return inbox, process
 
     def _close_rings(self) -> None:
         """Owner teardown of every ring (close + unlink); idempotent."""
@@ -762,76 +710,67 @@ class ClusterCoordinator:
 
     def _send_stop(self, worker_id: int) -> bool:
         """Stop one worker with the barrier pinned at its dispatch count."""
-        barrier = self._ledger.dispatched(worker_id)
-        if self._put_control(worker_id, Stop(barrier=barrier)):
+        record = self.state.workers[worker_id]
+        if self._put_control(worker_id, Stop(barrier=record.dispatched)):
             with self._lock:
-                self._expected_exit[worker_id] = True
+                record.expected_exit = True
             return True
         return False
 
     def _dispatch(self, worker_id: int, packets: List[Packet]) -> None:
-        cpu0 = time.process_time()
-        frame = PacketFrame.from_packets(
-            packets, tenant_of=self.config.tenant_keyer
-        )
-        self.transport.serialize_cpu_seconds += time.process_time() - cpu0
-        batch = PacketBatch(seq=self._seq, frame=frame)
-        self._seq += 1
         self._dispatches_since_sync += 1
-        self._send_batch(worker_id, batch)
+        self._send_batch(worker_id, self._new_batch(packets))
+
+    def _new_batch(self, packets: List[Packet], learn: bool = True) -> PacketBatch:
+        cpu0 = time.process_time()
+        frame = PacketFrame.from_packets(packets, tenant_of=self.config.tenant_keyer)
+        self.transport.serialize_cpu_seconds += time.process_time() - cpu0
+        self._seq += 1
+        return PacketBatch(seq=self._seq - 1, frame=frame, learn=learn)
 
     def _send_batch(self, worker_id: int, batch: PacketBatch) -> None:
-        """Ledger-tracked dispatch; shed shards divert to failover or drops."""
-        if self._shed[worker_id]:
-            self._reroute_or_shed(batch)
+        """Ledger-tracked dispatch; a shed shard's batch is re-homed on the
+        ring (failover) or dropped and counted."""
+        if self.state.dispatch(worker_id, batch) is not None:
+            self._put_tracked(worker_id, batch)
             return
-        self._ledger.record_dispatch(worker_id, batch)
-        self._put_tracked(worker_id, batch)
+        if self._failover_router is None:
+            self.state.drop(batch)
+            return
+        for target, shard in enumerate(
+            self._failover_router.partition_packets(batch.packets)
+        ):
+            if shard and not self.state.workers[target].shed:
+                self._send_batch(target, self._new_batch(list(shard), batch.learn))
 
-    def _reroute_or_shed(self, batch: PacketBatch) -> None:
-        """A shed shard's batch: re-home it on the ring, or drop and count."""
-        if self._failover_router is not None:
-            for worker_id, shard in enumerate(
-                self._failover_router.partition_packets(batch.packets)
+    def _live(self, worker_id: int, incarnation: int) -> bool:
+        """Put-loop guard: False once ``incarnation`` was shed or respawned.
+
+        Checks liveness on *every* iteration -- a worker that dies while its
+        ring or inbox has headroom must not keep absorbing messages
+        silently -- and recovers a dead one before answering.
+        """
+        while self.state.is_current(worker_id, incarnation):
+            if (
+                self._processes[worker_id].is_alive()
+                or self.state.workers[worker_id].expected_exit
             ):
-                if shard and not self._shed[worker_id]:
-                    rerouted = PacketBatch(
-                        seq=self._seq,
-                        frame=PacketFrame.from_packets(
-                            list(shard), tenant_of=self.config.tenant_keyer
-                        ),
-                        learn=batch.learn,
-                    )
-                    self._seq += 1
-                    self._send_batch(worker_id, rerouted)
-            return
-        # Degrade, don't abort: the same drop accounting the bounded ingest
-        # queue uses, so shed load shows up in the familiar counters.
-        self._shed_stats.submitted += 1
-        self._shed_stats.dropped_oldest += 1
-        self.recovery.shed_batches += 1
-        self.recovery.shed_packets += batch.n_packets
+                return True
+            self._service_events(scan=True)
+        return False
 
     def _put_tracked(self, worker_id: int, batch: PacketBatch) -> None:
         """Producer-pays ring write of a ledger-tracked batch.
 
         The frame is encoded once into the next free data-ring slot; a full
         ring blocks here (``block`` backpressure, counted as a stall) while
-        acks and failures are serviced.  Checks worker liveness on *every*
-        iteration -- a worker that dies while its ring has headroom must not
-        keep absorbing dispatches silently.  If recovery runs meanwhile, the
-        redispatch already re-enqueued this batch from the ledger into the
-        fresh incarnation's ring (or the shard was shed and the ledger
+        acks and failures are serviced.  If recovery runs meanwhile, the
+        replay already re-enqueued this batch from the ledger into the
+        fresh incarnation's ring (or the shard was shed and its ledger
         drained), so the put simply stops.
         """
-        start_incarnation = self._incarnation[worker_id]
-        while True:
-            if self._shed[worker_id] or self._incarnation[worker_id] != start_incarnation:
-                return
-            process = self._processes[worker_id]
-            if not process.is_alive() and not self._expected_exit[worker_id]:
-                self._service_events(scan=True)
-                continue
+        incarnation = self.state.workers[worker_id].incarnation
+        while self._live(worker_id, incarnation):
             ring = self._data_rings[worker_id]
             slot = ring.try_reserve()
             if slot is not None:
@@ -851,114 +790,75 @@ class ClusterCoordinator:
             self._service_events()
             time.sleep(0.0005)
 
-    def _put_control(self, worker_id: int, message: Any) -> bool:
-        """Best-effort put of an untracked control message.
+    def _put_control(
+        self, worker_id: int, message: Any, incarnation: Optional[int] = None
+    ) -> bool:
+        """Best-effort put of an untracked control message to
+        ``incarnation`` (default: the current one).
 
-        Returns False when the target incarnation vanished first (shed, or
+        Returns False when that incarnation vanished first (shed, or
         respawned by recovery) -- the caller decides what the new
         incarnation should receive instead.
         """
-        start_incarnation = self._incarnation[worker_id]
-        while True:
-            if self._shed[worker_id] or self._incarnation[worker_id] != start_incarnation:
-                return False
-            process = self._processes[worker_id]
-            if not process.is_alive() and not self._expected_exit[worker_id]:
-                self._service_events(scan=True)
-                continue
+        if incarnation is None:
+            incarnation = self.state.workers[worker_id].incarnation
+        while self._live(worker_id, incarnation):
             try:
                 self._inboxes[worker_id].put(message, timeout=0.2)
                 return True
             except queue_module.Full:
                 self._service_events()
+        return False
 
     # ------------------------------------------------------------ sync rounds
     def _open_round(self) -> None:
-        """Send each live worker a ``SyncRequest`` pinned at its dispatch
-        count; the round is then in flight until :meth:`_finish_round`."""
-        round_id = self.sync_rounds
-        # worker -> (incarnation the request reached, its dispatch count then)
-        candidates: Dict[int, Tuple[int, int]] = {}
-        for worker_id in range(self.config.n_workers):
-            if self._shed[worker_id]:
-                continue
-            incarnation = self._incarnation[worker_id]
-            # The barrier pins the consistent cut: every frame counted here
-            # is already committed to the worker's data ring (dispatch
-            # happens before control on this single coordinator thread), so
-            # the worker can always drain to the barrier before replying.
-            dispatched = self._ledger.dispatched(worker_id)
-            if self._put_control(
-                worker_id, SyncRequest(round_id=round_id, barrier=dispatched)
-            ):
-                candidates[worker_id] = (incarnation, dispatched)
-        self._round = _SyncRound(round_id, candidates)
-        self._dispatches_since_sync = 0
+        """Send each live worker a ``SyncRequest`` pinned at its barrier;
+        the round is then in flight until :meth:`_finish_round`.
 
-    def _round_expected(self, round_: "_SyncRound") -> Dict[int, int]:
-        """Worker -> incarnation of the candidates that still owe a report.
-
-        A candidate that was respawned or shed since the request owes
-        nothing: its dead incarnation's delta is never merged.
+        Every frame a barrier counts is already committed to the worker's
+        data ring (dispatch happens before control on this single
+        coordinator thread), so the worker can always drain to the barrier
+        before replying.
         """
-        return {
-            worker_id: incarnation
-            for worker_id, (incarnation, _) in round_.candidates.items()
-            if not self._shed[worker_id]
-            and self._incarnation[worker_id] == incarnation
-        }
-
-    def _round_reported(self) -> bool:
-        """Whether every report the round in flight awaits is pending."""
-        round_id = self._round.round_id
-        reported = {
-            message.worker_id
-            for message in self._pending
-            if isinstance(message, DeltaReport) and message.round_id == round_id
-        }
-        return reported.issuperset(self._round_expected(self._round))
+        round_ = self.state.open_round()
+        for worker_id, (incarnation, barrier) in round_.candidates.items():
+            self._put_control(
+                worker_id,
+                SyncRequest(round_id=round_.round_id, barrier=barrier),
+                incarnation,
+            )
+        self._dispatches_since_sync = 0
 
     def _finish_round(self) -> int:
         """Merge the round in flight (waiting for its reports), republish
         and send ``Rebase``; returns the published generation."""
-        round_, self._round = self._round, None
+        round_ = self.state.take_round()
         if round_ is None:
             return self.publication.generation
         reports = self._collect(
-            DeltaReport, self._round_expected(round_), round_.round_id, on_failure="drop"
+            DeltaReport, self.state.owed(round_), round_.round_id, on_failure="drop"
         )
-        # A delta from an incarnation that has since been respawned is
-        # dropped: recovery replays its unsynced batches with learning on,
-        # so merging the dead incarnation's delta too would double-count.
-        candidates = round_.candidates
-        reports = [
-            report
-            for report in reports
-            if self._incarnation[report.worker_id] == candidates[report.worker_id][0]
-        ]
-        deltas = [report.delta for report in reports]
-        if deltas:
-            merge_class_deltas(
-                self.publication.class_matrix, deltas, self.publication.class_norms
-            )
-            # Deltas accumulate in the float matrix; the packed 1-bit serving
-            # words (if published) are re-derived from the merged result
-            # before replicas are told to rebase.
-            self.publication.repack()
+        reports = self.state.accept_reports(round_, reports)
+        if reports:
+            self._merge([report.delta for report in reports])
         generation = self.publication.bump_generation()
         for report in reports:
-            worker_id = report.worker_id
-            # Everything dispatched before the request is now in the
-            # published model; a future redispatch must not re-learn it.
-            self._synced_through[worker_id] = candidates[worker_id][1]
             self._put_control(
-                worker_id, Rebase(round_id=round_.round_id, generation=generation)
+                report.worker_id,
+                Rebase(round_id=round_.round_id, generation=generation),
+                round_.candidates[report.worker_id][0],
             )
-        live = [w for w in range(self.config.n_workers) if not self._shed[w]]
-        if len(reports) < len(live):
-            self.recovery.quorum_rounds += 1
-        self.sync_rounds += 1
         return generation
+
+    def _merge(self, deltas: List[Any]) -> None:
+        """Add worker deltas into the published class matrix."""
+        merge_class_deltas(
+            self.publication.class_matrix, deltas, self.publication.class_norms
+        )
+        # Deltas accumulate in the float matrix; the packed 1-bit serving
+        # words (if published) are re-derived from the merged result before
+        # replicas are told to rebase.
+        self.publication.repack()
 
     # ---------------------------------------------------- failure handling
     def _service_events(self, scan: bool = False) -> None:
@@ -970,7 +870,9 @@ class ClusterCoordinator:
                 self._watchdog.scan_once()
             for failure in self._watchdog.take_failures():
                 self._recover(failure)
-        if self._round is not None and self._round_reported():
+        if self.state.round is not None and self.state.round_ready(
+            m for m in self._pending if isinstance(m, DeltaReport)
+        ):
             self._finish_round()
 
     def _drain_acks(self) -> None:
@@ -1002,61 +904,46 @@ class ClusterCoordinator:
                     ACK_HEADER.itemsize + n_preds * PRED_DTYPE.itemsize
                 )
                 self.transport.copies_avoided += 2
-                self._apply_ack(BatchAck(worker_id=worker_id, **payload))
+                self.state.ack(BatchAck(worker_id=worker_id, **payload))
+                self._absorb_predictions(payload["predictions"] or ())
 
-    def _apply_ack(self, ack: BatchAck) -> None:
-        self._ledger.record_ack(ack.worker_id, ack.index, ack.watermark)
-        tally = self._ack_tallies[ack.worker_id]
-        tally["packets"] += ack.packets
-        tally["flows"] += ack.flows
-        tally["alerts"] += ack.alerts
-        if ack.predictions:
-            self._absorb_predictions(ack.predictions)
-
-    def _absorb_predictions(self, predictions: List[Any]) -> None:
+    def _absorb_predictions(self, predictions: Iterable[Any]) -> None:
         for prediction in predictions:
             if prediction.token in self._pred_records:
                 # At-least-once redispatch re-scored an already-served flow;
                 # first record wins (same model generation => same verdict
                 # for offline-mode runs, so which one survives is moot).
-                self.recovery.duplicates_suppressed += 1
+                self.state.recovery.duplicates_suppressed += 1
             else:
                 self._pred_records[prediction.token] = prediction
 
     def _recover(self, failure: WorkerFailure) -> None:
-        """Recovery driver: respawn + flow-exact redispatch, or exhaust."""
-        worker_id = failure.worker_id
-        if self._shed[worker_id] or failure.incarnation != self._incarnation[worker_id]:
+        """Carry out the state's decision on a failure: respawn and replay
+        the retained batches, or retire the exhausted shard."""
+        recovery = self.state.fail(failure)
+        if recovery is None:
             return  # stale detection for an incarnation already handled
-        tally = self._ack_tallies[worker_id]
-        record = FailureRecord(
-            worker_id=worker_id,
-            kind=failure.kind,
-            incarnation=failure.incarnation,
-            detected_at=failure.detected_at,
-            exitcode=failure.exitcode,
-            heartbeat_age=failure.heartbeat_age,
-            acked_packets=tally["packets"],
-            acked_flows=tally["flows"],
-            acked_alerts=tally["alerts"],
-        )
-        self.recovery.failures.append(record)
-        attempts = self._respawns[worker_id]
-        if attempts >= self.policy.max_respawns:
-            self._exhaust(worker_id, record)
+        if recovery.action != "respawn":
+            self._exhaust(recovery)
             return
-        backoff = self.policy.respawn_backoff * (2**attempts)
-        if backoff > 0:
-            time.sleep(min(backoff, 5.0))
-        self._respawns[worker_id] = attempts + 1
-        record.reclaimed_slots = self._respawn(worker_id)
-        record.respawned = True
-        self._redispatch(worker_id, record)
+        if recovery.backoff > 0:
+            time.sleep(recovery.backoff)
+        record = recovery.record
+        worker_id = record.worker_id
+        replay = self._respawn(worker_id, record)
+        incarnation = self.state.workers[worker_id].incarnation
+        for batch in replay:
+            if not self.state.is_current(worker_id, incarnation):
+                # A nested recovery replayed the ledger itself; hand off.
+                break
+            self._put_tracked(worker_id, batch)
+            record.redispatched_batches += 1
+            record.redispatched_packets += batch.n_packets
         record.recovered_at = time.time()
 
-    def _respawn(self, worker_id: int) -> int:
+    def _respawn(self, worker_id: int, record: FailureRecord) -> List[PacketBatch]:
         """Fresh incarnation: new control queue + ring pair, reattach to the
-        live publication.  Returns the number of data-ring slots reclaimed.
+        live publication.  Returns the batches the state says to replay.
 
         The dead incarnation's rings are not reused: a worker killed
         mid-slot leaves its cursors (and possibly a half-read slot) in an
@@ -1070,35 +957,12 @@ class ClusterCoordinator:
         old_inbox = self._inboxes[worker_id]
         old_data = self._data_rings[worker_id]
         old_result = self._result_rings[worker_id]
-        # Absorb every ack the dead worker committed before dying; what is
-        # left in its data ring is the undrained evidence we reclaim.
-        self._drain_ring_acks()
-        reclaimed = old_data.occupancy if old_data is not None else 0
+        self._reclaim(worker_id, record)
         with self._lock:
-            self._incarnation[worker_id] += 1
-            inbox = self._ctx.Queue()
-            self._inboxes[worker_id] = inbox
-            self._create_rings(worker_id, incarnation=self._incarnation[worker_id])
-            self._heartbeats[worker_id] = time.time()
-            self._expected_exit[worker_id] = False
-            self._ack_tallies[worker_id] = self._zero_tally()
-            process = self._ctx.Process(
-                target=cluster_worker_main,
-                args=(
-                    self._worker_configs[worker_id],
-                    inbox,
-                    self._outbox,
-                    self._heartbeats,
-                    self._transports[worker_id],
-                ),
-                name=(
-                    f"repro-cluster-worker-{worker_id}"
-                    f"-r{self._incarnation[worker_id]}"
-                ),
-                daemon=True,
+            replay = self.state.respawn(worker_id)
+            self._inboxes[worker_id], self._processes[worker_id] = self._spawn(
+                worker_id, self.state.workers[worker_id].incarnation
             )
-            process.start()
-            self._processes[worker_id] = process
         old_process.join(timeout=5.0)
         # The dead incarnation's queued control messages are unreachable;
         # everything that matters is in the ledger.  Never flush to the dead
@@ -1109,95 +973,55 @@ class ClusterCoordinator:
             old_data.close(unlink=True)
         if old_result is not None:
             old_result.close(unlink=True)
-        self.transport.reclaimed_slots += reclaimed
-        return reclaimed
+        return replay
 
-    def _redispatch(self, worker_id: int, record: FailureRecord) -> None:
-        """Replay the ledger's retained batches into the fresh incarnation.
+    def _reclaim(self, worker_id: int, record: FailureRecord) -> None:
+        """Absorb every ack a dead worker committed before dying; what is
+        left in its data ring is the undrained evidence we reclaim."""
+        self._drain_ring_acks()
+        ring = self._data_rings[worker_id]
+        record.reclaimed_slots = ring.occupancy if ring is not None else 0
+        self.transport.reclaimed_slots += record.reclaimed_slots
 
-        Retention reaches down to the dead worker's last acked watermark, so
-        every flow it had not classified yet is rebuilt packet-for-packet
-        (at-least-once: flows classified just before the crash get re-scored
-        and deduplicated).  Batches whose online updates were already merged
-        at a sync round are replayed with ``learn=False``.
-        """
-        synced_through = self._synced_through[worker_id]
-        batches: List[PacketBatch] = []
-        for index, batch in self._ledger.replayable(worker_id):
-            if index < synced_through and batch.learn:
-                batch = replace(batch, learn=False)
-            batches.append(batch)
-        self._ledger.reset(worker_id, batches)
-        self._synced_through[worker_id] = 0
-        incarnation = self._incarnation[worker_id]
-        for batch in batches:
-            if self._incarnation[worker_id] != incarnation or self._shed[worker_id]:
-                # A nested recovery replayed the ledger itself; hand off.
-                break
-            self._put_tracked(worker_id, batch)
-            record.redispatched_batches += 1
-            record.redispatched_packets += batch.n_packets
-
-    def _exhaust(self, worker_id: int, record: FailureRecord) -> None:
+    def _exhaust(self, recovery: Recovery) -> None:
         """Respawn budget spent: fail over the shard, shed it, or fail fast."""
-        if not (self.policy.shed_when_exhausted or self.policy.failover):
-            unacked = self._ledger.unacked_seqs(worker_id)
-            raise RuntimeError(
+        record = recovery.record
+        worker_id = record.worker_id
+        if recovery.action == "raise":
+            unacked = self.state.workers[worker_id].unacked_seqs()
+            raise ClusterError(
                 f"cluster worker {worker_id} died ({record.kind}, exit code "
                 f"{record.exitcode}) with no respawn budget left; "
                 f"unacked batch seqs: {unacked}"
             )
-        with self._lock:
-            self._shed[worker_id] = True
-            self._expected_exit[worker_id] = True
         # A shed shard's rings are abandoned in place (unlinked at
         # teardown); whatever sat undrained in its data ring is reclaimed
         # accounting-wise here, like the respawn path's.
-        self._drain_ring_acks()
-        dead_ring = self._data_rings[worker_id]
-        if dead_ring is not None:
-            record.reclaimed_slots = dead_ring.occupancy
-            self.transport.reclaimed_slots += record.reclaimed_slots
-        batches = self._ledger.clear(worker_id)
-        survivors = [
-            w for w in range(self.config.n_workers) if not self._shed[w]
-        ]
-        if self.policy.failover and survivors:
-            self._failover_router = self.router.excluding(
-                [w for w in range(self.config.n_workers) if self._shed[w]]
+        self._reclaim(worker_id, record)
+        with self._lock:
+            batches = self.state.shed(recovery)
+        self._failover_router = (
+            self.router.excluding(
+                [w for w, worker in enumerate(self.state.workers) if worker.shed]
             )
-            record.failed_over = True
-            for batch in batches:
-                self._reroute_or_shed(batch)
-                record.redispatched_batches += 1
-                record.redispatched_packets += batch.n_packets
-        else:
-            self._failover_router = None
-            for batch in batches:
-                self._shed_stats.submitted += 1
-                self._shed_stats.dropped_oldest += 1
-                self.recovery.shed_batches += 1
-                self.recovery.shed_packets += batch.n_packets
-        record.shed = not record.failed_over
+            if record.failed_over
+            else None
+        )
+        for batch in batches:
+            # The shard is shed now, so this re-homes the batch.
+            self._send_batch(worker_id, batch)
+            record.redispatched_batches += 1
+            record.redispatched_packets += batch.n_packets
         record.recovered_at = time.time()
-
-    def _synthesize_summary(self, worker_id: int) -> WorkerSummary:
-        """A shed worker never files a report; reconstruct one from its acks."""
-        summary = WorkerSummary(worker_id=worker_id)
-        for failure in self.recovery.failures:
-            if failure.worker_id == worker_id:
-                summary.packets += failure.acked_packets
-                summary.flows += failure.acked_flows
-                summary.alerts += failure.acked_alerts
-        return summary
 
     # -------------------------------------------------------------- teardown
     def _abort(self) -> None:
-        """Tear the cluster down after a failure: reap processes, free shm.
+        """Tear the cluster down: reap processes, free shm.
 
-        Idempotent; safe to call after a partial ``shutdown``.  Uses
-        SIGKILL: workers ignore SIGTERM by design (shutdown is normally the
-        coordinator's message-driven decision).
+        Ends every run, failed or drained.  Idempotent; safe to call after a
+        partial ``shutdown``.  Uses SIGKILL: workers ignore SIGTERM by
+        design (shutdown is normally the coordinator's message-driven
+        decision).
         """
         if self._watchdog is not None:
             self._watchdog.stop()
@@ -1224,7 +1048,6 @@ class ClusterCoordinator:
         self._close_rings()
         self._processes = []
         self._inboxes = []
-        self._round = None
         self._started = False
 
     # ------------------------------------------------------------ collection
@@ -1267,13 +1090,13 @@ class ClusterCoordinator:
                     # A delta a worker sent just before dying in an aborted
                     # quorum round; its incarnation is gone, drop it.
                     continue
-                raise RuntimeError(
+                raise ClusterError(
                     f"expected {kind.__name__}, got {type(message).__name__}"
                 )
             if round_id is not None and message.round_id != round_id:
                 if message.round_id < round_id:
                     continue  # stale report from a crashed incarnation
-                raise RuntimeError(
+                raise ClusterError(
                     f"round mismatch: expected {round_id}, got {message.round_id}"
                 )
             worker_id = (
@@ -1307,15 +1130,12 @@ class ClusterCoordinator:
         for worker_id, incarnation in list(expected.items()):
             if worker_id in results:
                 continue
-            if self._shed[worker_id]:
-                expected.pop(worker_id)
-                continue
-            if self._incarnation[worker_id] != incarnation:
-                # Recovery replaced the incarnation we were waiting on.
-                if on_failure == "restop" and self._send_stop(worker_id):
-                    expected[worker_id] = self._incarnation[worker_id]
-                elif on_failure == "drop":
+            if not self.state.is_current(worker_id, incarnation):
+                # Shed, or recovery replaced the incarnation we waited on.
+                if on_failure == "drop" or self.state.workers[worker_id].shed:
                     expected.pop(worker_id)
+                elif self._send_stop(worker_id):
+                    expected[worker_id] = self.state.workers[worker_id].incarnation
                 continue
             process = self._processes[worker_id]
             if process.is_alive():

@@ -49,8 +49,8 @@ remains a supervision-level policy, not a transport behaviour.
 Slot lifetime: a data slot is released (made reusable) only after the
 worker has fully processed the batch **and written its ack** to the result
 ring -- a crash mid-slot therefore leaves the slot occupied, the watchdog
-reclaims the whole ring at respawn (the frames live on in the
-coordinator's :class:`~repro.cluster.supervision.BatchLedger`, which
+reclaims the whole ring at respawn (the frames live on in the worker's
+ledger in :class:`~repro.cluster.state.ClusterState`, and the coordinator
 re-materializes them into the fresh incarnation's ring), and
 ``reclaimed_slots`` is accounted on the failure record.  Flow-aware
 retention -- keeping a batch until every flow it opened has closed -- is

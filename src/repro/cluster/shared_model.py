@@ -12,8 +12,9 @@ matter how large ``D`` grows.
 Ownership rules (enforced by convention + the replica build):
 
 * **Encoder tensors** are shared read-only.  Workers never regenerate
-  dimensions locally -- drift-time regeneration is a coordinator-level
-  operation (it would rewrite the shared bases under every replica's feet).
+  dimensions locally (it would rewrite the shared bases under every
+  replica's feet).  Cluster-wide drift-time regeneration would have to be a
+  coordinator-level operation; it is not implemented (ROADMAP item 8).
 * **The published class matrix** is written only by the coordinator (merge
   rounds).  Each worker's classifier trains on a *private copy*; the
   attach path re-copies the published matrix into the replica so

@@ -1,4 +1,4 @@
-"""Cluster supervision: heartbeats, the in-flight batch ledger, retry policy.
+"""Cluster supervision: heartbeats, the watchdog and the retry policy.
 
 PR 5 proved the *model* half of the paper's robustness claim (recall stays
 flat through serving-time bit flips); this module is the *process* half.  A
@@ -12,22 +12,24 @@ measured, recoverable event built from three pieces:
   coordinator scans the slots: a dead process is a *crash*, a live process
   with a stale heartbeat is a *hang* (the watchdog SIGKILLs it so both
   failure modes converge to "dead, needs respawn").
-* **The batch ledger** (:class:`BatchLedger`) -- every dispatched
-  :class:`~repro.cluster.worker.PacketBatch` is retained until the worker
-  acks it in its report stream *and* no still-open flow needs it.  Workers
-  ship a per-batch ack carrying a **watermark**: the lowest dispatch index
-  that still contributes packets to a flow open in their flow table.
-  Retaining down to the watermark is what makes recovery *flow-exact*: a
-  respawned worker replays every packet of every flow that had not been
-  classified yet, so re-assembled flows are bit-identical to uninterrupted
-  assembly (at-least-once redispatch; already-classified flows that ride
-  along are deduplicated by the coordinator).
+* **The batch ledger** -- every dispatched
+  :class:`~repro.cluster.worker.PacketBatch` is retained in its worker's
+  :class:`~repro.cluster.state.WorkerRecord` until the worker acks it *and*
+  no still-open flow needs it.  Workers ship a per-batch ack carrying a
+  **watermark**: the lowest dispatch index that still contributes packets
+  to a flow open in their flow table.  Retaining down to the watermark is
+  what makes recovery *flow-exact*: a respawned worker replays every packet
+  of every flow that had not been classified yet, so re-assembled flows are
+  bit-identical to uninterrupted assembly (at-least-once redispatch;
+  already-classified flows that ride along are deduplicated by the
+  coordinator).
 * **The retry policy** (:class:`RetryPolicy`) -- how long a heartbeat may
   go stale, how many times a worker slot is respawned, and what happens
   when respawns are exhausted: shed that shard's load with drop accounting
   (the default -- degrade, don't abort), fail over its keyspace to the
   surviving shards, or fail fast with the unacked seqs named.
 
+The decisions themselves live in :class:`repro.cluster.state.ClusterState`.
 ``docs/robustness.md`` ("Process faults and chaos testing") documents the
 fault matrix and the recovery guarantees; :mod:`repro.cluster.chaos` is the
 scripted fault injector that proves them.
@@ -37,11 +39,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ClusterError, ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,15 @@ class RetryPolicy:
         closes would otherwise pin the whole stream in memory; beyond the
         bound the oldest batch is evicted (counted -- evicted batches are
         no longer replayable, so a crash loses their open-flow packets).
-    shed_when_exhausted:
-        When the respawn budget is spent: ``True`` sheds the dead shard's
-        load through drop accounting and keeps serving the survivors;
-        ``False`` (with ``failover`` also off) raises -- the pre-supervision
-        fail-fast behaviour, with the unacked seqs named.
-    failover:
-        Re-home an exhausted shard's keyspace onto the surviving workers
-        (``ShardRouter.excluding``).  Requires the cluster to run without
-        shard guards (the coordinator arranges that at start): mid-life
+    on_exhausted:
+        What happens once the respawn budget is spent.  ``"shed"`` drops
+        the dead shard's load through drop accounting and keeps serving the
+        survivors.  ``"failover"`` re-homes its keyspace onto the surviving
+        workers (``ShardRouter.excluding``); the cluster then runs without
+        shard guards (the coordinator arranges that at start), and mid-life
         flows of the dead shard restart their statistics on the new owner,
-        so this trades per-flow fidelity for coverage.
+        so this trades per-flow fidelity for coverage.  ``"raise"`` is the
+        pre-supervision fail-fast behaviour, naming the unacked seqs.
     """
 
     heartbeat_interval: float = 0.25
@@ -90,8 +89,7 @@ class RetryPolicy:
     max_respawns: int = 2
     respawn_backoff: float = 0.05
     max_retained_batches: int = 1024
-    shed_when_exhausted: bool = True
-    failover: bool = False
+    on_exhausted: str = "shed"
 
     def validate(self) -> "RetryPolicy":
         """Check parameter ranges and return ``self``."""
@@ -109,6 +107,11 @@ class RetryPolicy:
             raise ConfigurationError("respawn_backoff must be non-negative")
         if self.max_retained_batches < 1:
             raise ConfigurationError("max_retained_batches must be >= 1")
+        if self.on_exhausted not in ("shed", "failover", "raise"):
+            raise ConfigurationError(
+                f"on_exhausted must be 'shed', 'failover' or 'raise', "
+                f"not {self.on_exhausted!r}"
+            )
         return self
 
 
@@ -129,15 +132,9 @@ class WorkerFailure:
 
 
 @dataclass
-class FailureRecord:
+class FailureRecord(WorkerFailure):
     """A failure plus what recovery did about it (the report-side view)."""
 
-    worker_id: int
-    kind: str
-    incarnation: int
-    detected_at: float
-    exitcode: Optional[int] = None
-    heartbeat_age: float = 0.0
     recovered_at: Optional[float] = None
     respawned: bool = False
     shed: bool = False
@@ -162,25 +159,7 @@ class FailureRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly view."""
-        return {
-            "worker_id": self.worker_id,
-            "kind": self.kind,
-            "incarnation": self.incarnation,
-            "detected_at": self.detected_at,
-            "exitcode": self.exitcode,
-            "heartbeat_age": self.heartbeat_age,
-            "recovered_at": self.recovered_at,
-            "recovery_seconds": self.recovery_seconds,
-            "respawned": self.respawned,
-            "shed": self.shed,
-            "failed_over": self.failed_over,
-            "redispatched_batches": self.redispatched_batches,
-            "redispatched_packets": self.redispatched_packets,
-            "acked_packets": self.acked_packets,
-            "acked_flows": self.acked_flows,
-            "acked_alerts": self.acked_alerts,
-            "reclaimed_slots": self.reclaimed_slots,
-        }
+        return {**asdict(self), "recovery_seconds": self.recovery_seconds}
 
 
 @dataclass
@@ -244,101 +223,6 @@ class RecoveryStats:
         }
 
 
-class BatchLedger:
-    """Coordinator-side record of every batch a worker still owes.
-
-    Batches are indexed per worker *incarnation* in dispatch order (queue
-    FIFO makes the worker process them in exactly that order).  An entry is
-    retained until **both** hold:
-
-    * the worker acked it (its index is below the acked count), and
-    * no open flow needs it (its index is below the acked **watermark**:
-      the minimum first-batch index over the worker's still-active flows).
-
-    On a crash, :meth:`replayable` is therefore exactly the set of batches
-    the respawned worker must re-serve for flow-exact recovery, and
-    :meth:`unacked` is the strict subset the dead worker never finished --
-    the at-least-once obligation.
-    """
-
-    def __init__(self, n_workers: int, max_retained: int = 1024):
-        if n_workers < 1:
-            raise ConfigurationError("n_workers must be >= 1")
-        if max_retained < 1:
-            raise ConfigurationError("max_retained must be >= 1")
-        self.max_retained = int(max_retained)
-        self._entries: List[Deque[Tuple[int, Any]]] = [
-            deque() for _ in range(n_workers)
-        ]
-        self._dispatched = [0] * n_workers
-        self._acked = [0] * n_workers
-        self._watermark = [0] * n_workers
-        self.evictions = 0
-
-    # ------------------------------------------------------------------- API
-    def record_dispatch(self, worker_id: int, batch: Any) -> int:
-        """Track one dispatched batch; returns its per-incarnation index."""
-        index = self._dispatched[worker_id]
-        self._dispatched[worker_id] += 1
-        entries = self._entries[worker_id]
-        entries.append((index, batch))
-        while len(entries) > self.max_retained:
-            entries.popleft()
-            self.evictions += 1
-        return index
-
-    def record_ack(self, worker_id: int, index: int, watermark: int) -> None:
-        """Apply one worker ack: advance the acked count, prune to watermark."""
-        self._acked[worker_id] = max(self._acked[worker_id], index + 1)
-        self._watermark[worker_id] = max(self._watermark[worker_id], watermark)
-        entries = self._entries[worker_id]
-        while entries and entries[0][0] < self._watermark[worker_id]:
-            entries.popleft()
-
-    def replayable(self, worker_id: int) -> List[Tuple[int, Any]]:
-        """Every retained ``(index, batch)`` -- the flow-exact replay set."""
-        return list(self._entries[worker_id])
-
-    def unacked(self, worker_id: int) -> List[Tuple[int, Any]]:
-        """Retained batches the worker never acked."""
-        acked = self._acked[worker_id]
-        return [(i, b) for i, b in self._entries[worker_id] if i >= acked]
-
-    def unacked_seqs(self, worker_id: int) -> List[int]:
-        """Global dispatch seqs of the unacked batches (for diagnostics)."""
-        return [batch.seq for _, batch in self.unacked(worker_id)]
-
-    def dispatched(self, worker_id: int) -> int:
-        """Batches dispatched to the current incarnation."""
-        return self._dispatched[worker_id]
-
-    def acked(self, worker_id: int) -> int:
-        """Batches the current incarnation has acked."""
-        return self._acked[worker_id]
-
-    def outstanding(self, worker_id: int) -> int:
-        """Dispatched-but-unacked batch count."""
-        return self._dispatched[worker_id] - self._acked[worker_id]
-
-    def reset(self, worker_id: int, batches: List[Any]) -> None:
-        """Start a fresh incarnation's ledger seeded with ``batches``.
-
-        The batches are re-indexed from 0 in order -- the respawned worker
-        sees them as its first dispatches.
-        """
-        self._entries[worker_id] = deque(enumerate(batches))
-        self._dispatched[worker_id] = len(batches)
-        self._acked[worker_id] = 0
-        self._watermark[worker_id] = 0
-
-    def clear(self, worker_id: int) -> List[Any]:
-        """Drop and return every retained batch (the shed path)."""
-        batches = [batch for _, batch in self._entries[worker_id]]
-        self._entries[worker_id] = deque()
-        self._acked[worker_id] = self._dispatched[worker_id]
-        return batches
-
-
 class Watchdog:
     """Coordinator-side failure detector running on its own thread.
 
@@ -348,7 +232,9 @@ class Watchdog:
     workers so both failure kinds converge to "dead".  Recovery (respawn,
     redispatch, shed) stays on the coordinator thread, which drains
     :meth:`take_failures` at its dispatch/collect safe points -- a single
-    mutator for queues and the ledger.
+    mutator for queues and the ledger.  A scan that faults stops the thread,
+    and :meth:`take_failures` raises the fault from then on: a detector
+    that cannot scan must not leave the cluster silently blind.
 
     ``snapshot`` is a coordinator-provided callable returning the current
     ``(worker_id, incarnation, process, expected_exit, heartbeat)`` rows
@@ -367,6 +253,7 @@ class Watchdog:
         self._clock = clock
         self._failures: List[WorkerFailure] = []
         self._flagged: set = set()
+        self._fault: Optional[Exception] = None
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -396,59 +283,56 @@ class Watchdog:
             with self._lock:
                 if key in self._flagged:
                     continue
-            failure: Optional[WorkerFailure] = None
             if not process.is_alive():
                 # Any not-alive worker is dead no matter the exit code: a
                 # clean-but-premature exit (code 0) still owes messages, and
                 # waiting for them would spin forever.  Expected exits
                 # (Stop was delivered) are the coordinator's to verify
                 # against the report it is draining.
-                if not expected_exit:
-                    failure = WorkerFailure(
-                        worker_id=worker_id,
-                        kind="crash",
-                        incarnation=incarnation,
-                        detected_at=now,
-                        exitcode=process.exitcode,
-                    )
+                if expected_exit:
+                    continue
+                kind, age = "crash", 0.0
             else:
                 age = now - stamp
-                if age > self.policy.heartbeat_timeout:
-                    # A hung worker cannot be reasoned with (it ignores
-                    # SIGTERM by design); killing it converts the hang into
-                    # a crash the recovery machinery already handles.
-                    process.kill()
-                    failure = WorkerFailure(
-                        worker_id=worker_id,
-                        kind="hang",
-                        incarnation=incarnation,
-                        detected_at=now,
-                        exitcode=process.exitcode,
-                        heartbeat_age=age,
-                    )
-            if failure is not None:
-                with self._lock:
-                    if key not in self._flagged:
-                        self._flagged.add(key)
-                        self._failures.append(failure)
+                if age <= self.policy.heartbeat_timeout:
+                    continue
+                # A hung worker cannot be reasoned with (it ignores SIGTERM
+                # by design); killing it converts the hang into a crash the
+                # recovery machinery already handles.
+                process.kill()
+                kind = "hang"
+            failure = WorkerFailure(
+                worker_id, kind, incarnation, now, process.exitcode, age
+            )
+            with self._lock:
+                if key not in self._flagged:
+                    self._flagged.add(key)
+                    self._failures.append(failure)
 
     def take_failures(self) -> List[WorkerFailure]:
-        """Drain the detected-failure queue (coordinator safe points)."""
+        """Drain the detected-failure queue (coordinator safe points).
+
+        Raises :class:`ClusterError` once the scan thread has faulted.
+        """
         with self._lock:
+            if self._fault is not None:
+                raise ClusterError(
+                    f"the cluster watchdog stopped: {self._fault!r}"
+                ) from self._fault
             failures, self._failures = self._failures, []
         return failures
 
     # ------------------------------------------------------------- internals
     def _run(self) -> None:
-        while not self._stop.wait(self.policy.check_interval):
-            try:
+        try:
+            while not self._stop.wait(self.policy.check_interval):
                 self.scan_once()
-            except Exception:  # pragma: no cover - detector must never die
-                pass
+        except Exception as exc:
+            with self._lock:
+                self._fault = exc
 
 
 __all__ = [
-    "BatchLedger",
     "FailureRecord",
     "RecoveryStats",
     "RetryPolicy",

@@ -23,3 +23,9 @@ class EncodingError(ReproError):
 
 class HardwareModelError(ReproError):
     """Raised when an analytical hardware model receives invalid parameters."""
+
+
+class ClusterError(ReproError, RuntimeError):
+    """Raised when the serving cluster cannot go on: a worker died with no
+    recovery left, a worker broke the report protocol, or supervision
+    itself faulted."""

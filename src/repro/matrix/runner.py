@@ -222,10 +222,19 @@ def run_matrix(
     hits the cache for every finished cell and only executes the rest.
     ``refresh`` forces re-execution but still writes fresh cache entries;
     ``use_cache=False`` bypasses the cache entirely (read and write).
+    Every cell's suite and parameters are checked before the first cell
+    runs, so a bad cell late in the spec fails in seconds.
     """
     suites = suites if suites is not None else get_suites()
     from repro.bench.harness import bench_provenance
 
+    for cell in spec.cells:
+        if cell.suite not in suites:
+            raise ConfigurationError(
+                f"cell {cell.cell_id!r} names unknown suite {cell.suite!r} "
+                f"(known: {sorted(suites)})"
+            )
+        check_params(suites[cell.suite], cell.params_dict, f"cell {cell.cell_id!r}")
     cache = ResultCache(cache_dir)
     emit = progress or (lambda message: None)
     fingerprints: Dict[str, str] = {}
@@ -233,12 +242,7 @@ def run_matrix(
     n_cached = 0
     start = time.perf_counter()
     for cell in spec.cells:
-        binding = suites.get(cell.suite)
-        if binding is None:
-            raise ConfigurationError(
-                f"cell {cell.cell_id!r} names unknown suite {cell.suite!r} "
-                f"(known: {sorted(suites)})"
-            )
+        binding = suites[cell.suite]
         if repeats_override is not None:
             cell = replace(cell, repeats=int(repeats_override))
         if cell.suite not in fingerprints:

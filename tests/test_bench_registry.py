@@ -23,6 +23,7 @@ import pytest
 
 from repro.bench.harness import make_record
 from repro.cli import main
+from repro.exceptions import ConfigurationError
 from repro.matrix import code_fingerprint, parse_spec, run_matrix
 from repro.matrix import runner as runner_mod
 from repro.matrix.runner import SUITES, SuiteBinding, get_suites
@@ -97,6 +98,49 @@ def test_matrix_cell_param_the_suite_does_not_take_exits_2(
     assert main(argv) == 2
     assert recording_suites["cascade"].runner.calls == []
     assert "cascade/workers=2" in capsys.readouterr().err
+
+
+def test_bad_later_cell_fails_before_any_cell_runs(recording_suites, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"schema": "repro-matrix-spec/1", "grid": ['
+        '{"suite": "hdc", "quick": true}, {"suite": "cascade", "workers": 2}]}'
+    )
+    argv = ["matrix", "run", str(spec), "--no-cache", "--json", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert recording_suites["hdc"].runner.calls == []
+    assert "cascade/workers=2" in capsys.readouterr().err
+
+
+def test_unknown_suite_in_a_later_cell_fails_before_any_cell_runs(
+    recording_suites, tmp_path
+):
+    spec = parse_spec(
+        {"schema": "repro-matrix-spec/1", "grid": [{"suite": "hdc"}, {"suite": "nope"}]},
+        known_suites=None,
+    )
+    with pytest.raises(ConfigurationError, match="unknown suite 'nope'"):
+        run_matrix(spec, tmp_path / "cache", use_cache=False)
+    assert recording_suites["hdc"].runner.calls == []
+
+
+def test_fabric_rejects_fewer_than_100_tenants(monkeypatch):
+    import repro.bench.fabric as fabric
+
+    recorder = Recorder()
+    monkeypatch.setattr(fabric, "bench_fabric", recorder)
+    with pytest.raises(ConfigurationError, match="100"):
+        fabric.run(tenants=8, quick=True)
+    assert recorder.kwargs is None
+    fabric.run(tenants=100, quick=True)
+    assert recorder.kwargs["tenants"] == 100
+
+
+def test_fabric_tenants_below_100_exits_2(tmp_path, capsys):
+    argv = ["bench", "--suite", "fabric", "--quick", "--tenants", "8"]
+    assert main(argv + ["--json", str(tmp_path / "bench.json")]) == 2
+    assert "tenants" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
 
 
 def test_suite_choices_come_from_the_registry(capsys):

@@ -6,6 +6,7 @@ respawn/redispatch recovery), and graceful shutdown."""
 
 import os
 import signal
+import time
 from collections import deque
 from multiprocessing import shared_memory
 
@@ -14,23 +15,30 @@ import pytest
 
 from repro.cluster import (
     AttachedPublication,
-    BatchLedger,
     ClusterConfig,
     ClusterCoordinator,
+    ClusterState,
     ModelPublication,
     RetryPolicy,
     SCENARIOS,
     ShardRouter,
     Watchdog,
+    WorkerFailure,
     WorkerRuntime,
     get_scenario,
     interpolate_profile,
     scenario_names,
 )
 from repro.cluster.router import flow_key_token, stable_hash64
-from repro.cluster.worker import DeltaReport, FinalReport, PacketBatch, WorkerSummary
+from repro.cluster.worker import (
+    BatchAck,
+    DeltaReport,
+    FinalReport,
+    PacketBatch,
+    WorkerSummary,
+)
 from repro.core.cyberhd import CyberHD
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ClusterError, ConfigurationError
 from repro.hdc.backend import merge_class_deltas, row_norms
 from repro.models.hdc_classifier import BaselineHDC
 from repro.nids.flow import FlowKey, FlowTable
@@ -520,11 +528,23 @@ def _batch(seq, n_packets=3):
     return PacketBatch(seq=seq, frame=_StubFrame(n_packets))
 
 
+def _ack(index, watermark):
+    return BatchAck(
+        worker_id=0,
+        seq=index,
+        index=index,
+        watermark=watermark,
+        packets=0,
+        flows=0,
+        alerts=0,
+    )
+
+
 class TestRetryPolicy:
     def test_defaults_validate(self):
         policy = RetryPolicy().validate()
         assert policy.max_respawns == 2
-        assert policy.shed_when_exhausted
+        assert policy.on_exhausted == "shed"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -535,6 +555,7 @@ class TestRetryPolicy:
             {"max_respawns": -1},
             {"respawn_backoff": -0.1},
             {"max_retained_batches": 0},
+            {"on_exhausted": "retry"},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -547,72 +568,77 @@ class TestRetryPolicy:
 
 
 class TestBatchLedger:
+    """The batch ledger each :class:`ClusterState` worker record keeps."""
+
     def test_dispatch_indexes_per_incarnation(self):
-        ledger = BatchLedger(2)
-        assert ledger.record_dispatch(0, _batch(10)) == 0
-        assert ledger.record_dispatch(0, _batch(11)) == 1
-        assert ledger.record_dispatch(1, _batch(12)) == 0
-        assert ledger.dispatched(0) == 2
-        assert ledger.outstanding(0) == 2
+        state = ClusterState(2)
+        assert state.dispatch(0, _batch(10)) == 0
+        assert state.dispatch(0, _batch(11)) == 1
+        assert state.dispatch(1, _batch(12)) == 0
+        assert state.workers[0].dispatched == 2
+        assert state.workers[0].outstanding == 2
 
     def test_ack_prunes_to_watermark_not_index(self):
         """An acked batch stays replayable while an open flow still needs it."""
-        ledger = BatchLedger(1)
+        state = ClusterState(1)
+        record = state.workers[0]
         for seq in range(4):
-            ledger.record_dispatch(0, _batch(seq))
+            state.dispatch(0, _batch(seq))
         # Batches 0-2 acked, but a flow opened in batch 1 is still active.
-        ledger.record_ack(0, 0, watermark=0)
-        ledger.record_ack(0, 1, watermark=1)
-        ledger.record_ack(0, 2, watermark=1)
-        assert ledger.acked(0) == 3
-        assert [i for i, _ in ledger.replayable(0)] == [1, 2, 3]
-        assert [i for i, _ in ledger.unacked(0)] == [3]
-        assert ledger.unacked_seqs(0) == [3]
+        state.ack(_ack(0, watermark=0))
+        state.ack(_ack(1, watermark=1))
+        state.ack(_ack(2, watermark=1))
+        assert record.acked == 3
+        assert [i for i, _ in record.entries] == [1, 2, 3]
+        assert [i for i, _ in record.unacked()] == [3]
+        assert record.unacked_seqs() == [3]
         # The flow closes: the watermark catches up and releases 1 and 2.
-        ledger.record_ack(0, 3, watermark=4)
-        assert ledger.replayable(0) == []
-        assert ledger.outstanding(0) == 0
+        state.ack(_ack(3, watermark=4))
+        assert list(record.entries) == []
+        assert record.outstanding == 0
 
     def test_watermark_never_regresses(self):
-        ledger = BatchLedger(1)
+        state = ClusterState(1)
         for seq in range(3):
-            ledger.record_dispatch(0, _batch(seq))
-        ledger.record_ack(0, 1, watermark=2)
-        ledger.record_ack(0, 2, watermark=1)  # late/stale watermark
-        assert [i for i, _ in ledger.replayable(0)] == [2]
+            state.dispatch(0, _batch(seq))
+        state.ack(_ack(1, watermark=2))
+        state.ack(_ack(2, watermark=1))  # late/stale watermark
+        assert [i for i, _ in state.workers[0].entries] == [2]
 
     def test_reset_reindexes_from_zero(self):
-        ledger = BatchLedger(1)
+        """A respawn's replay is the fresh incarnation's first dispatches."""
+        state = ClusterState(1)
         for seq in range(3):
-            ledger.record_dispatch(0, _batch(seq))
-        ledger.record_ack(0, 0, watermark=1)
-        replay = [b for _, b in ledger.replayable(0)]
-        ledger.reset(0, replay)
-        assert [i for i, _ in ledger.replayable(0)] == [0, 1]
-        assert ledger.dispatched(0) == 2
-        assert ledger.acked(0) == 0
+            state.dispatch(0, _batch(seq))
+        state.ack(_ack(0, watermark=1))
+        state.respawn(0)
+        record = state.workers[0]
+        assert [i for i, _ in record.entries] == [0, 1]
+        assert record.dispatched == 2
+        assert record.acked == 0
 
     def test_clear_returns_and_settles(self):
-        ledger = BatchLedger(1)
+        state = ClusterState(2, RetryPolicy(max_respawns=0, on_exhausted="failover"))
         for seq in range(2):
-            ledger.record_dispatch(0, _batch(seq))
-        cleared = ledger.clear(0)
+            state.dispatch(0, _batch(seq))
+        recovery = state.fail(WorkerFailure(0, "crash", 0, detected_at=0.0))
+        cleared = state.shed(recovery)
         assert [b.seq for b in cleared] == [0, 1]
-        assert ledger.replayable(0) == []
-        assert ledger.outstanding(0) == 0
+        assert list(state.workers[0].entries) == []
+        assert state.workers[0].outstanding == 0
 
     def test_retention_bound_evicts_oldest(self):
-        ledger = BatchLedger(1, max_retained=2)
+        state = ClusterState(1, RetryPolicy(max_retained_batches=2))
         for seq in range(5):
-            ledger.record_dispatch(0, _batch(seq))
-        assert ledger.evictions == 3
-        assert [b.seq for _, b in ledger.replayable(0)] == [3, 4]
+            state.dispatch(0, _batch(seq))
+        assert state.recovery.ledger_evictions == 3
+        assert [b.seq for _, b in state.workers[0].entries] == [3, 4]
 
     def test_constructor_validates(self):
         with pytest.raises(ConfigurationError):
-            BatchLedger(0)
+            ClusterState(0)
         with pytest.raises(ConfigurationError):
-            BatchLedger(1, max_retained=0)
+            ClusterState(1, RetryPolicy(max_retained_batches=0))
 
 
 class TestWatchdog:
@@ -675,6 +701,24 @@ class TestWatchdog:
         dog.stop()
         dog.stop()
 
+    def test_faulting_scan_surfaces_at_take_failures(self):
+        """A scan thread that faults must not leave the cluster blind."""
+
+        def broken_snapshot():
+            raise KeyError("torn supervision row")
+
+        dog = Watchdog(broken_snapshot, RetryPolicy(check_interval=0.01))
+        dog.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while dog._thread.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not dog._thread.is_alive()
+            with pytest.raises(ClusterError, match="torn supervision row"):
+                dog.take_failures()
+        finally:
+            dog.stop()
+
 
 class TestCollectFailureBranches:
     """Protocol/round-mismatch branches of ``_collect``, driven in-process."""
@@ -687,8 +731,7 @@ class TestCollectFailureBranches:
         # whose messages are preloaded on the pending deque, so _collect
         # never touches queues or spawns anything.
         coordinator._pending = deque(pending)
-        coordinator._shed = [False]
-        coordinator._incarnation = [0]
+        coordinator.state = ClusterState(1)
         coordinator._processes = [_FakeProcess(alive=True)]
         return coordinator
 
@@ -773,7 +816,7 @@ class TestClusterEndToEnd:
                 n_workers=2,
                 batch_size=64,
                 queue_capacity=1,
-                retry=RetryPolicy(max_respawns=0, shed_when_exhausted=False),
+                retry=RetryPolicy(max_respawns=0, on_exhausted="raise"),
             ),
         )
         coordinator.start()
@@ -837,7 +880,7 @@ class TestClusterEndToEnd:
     def test_exhausted_respawns_shed_load_instead_of_aborting(
         self, trained_pipeline
     ):
-        """Budget spent + shed_when_exhausted: the run degrades (drop
+        """Budget spent + ``on_exhausted="shed"``: the run degrades (drop
         accounting) and completes instead of raising."""
         packets = TrafficGenerator(seed=37).generate(1200, start_time=400_000.0)
         coordinator = ClusterCoordinator(
@@ -845,7 +888,7 @@ class TestClusterEndToEnd:
             ClusterConfig(
                 n_workers=2,
                 batch_size=64,
-                retry=RetryPolicy(max_respawns=0, shed_when_exhausted=True),
+                retry=RetryPolicy(max_respawns=0, on_exhausted="shed"),
             ),
         )
         coordinator.start()
@@ -873,7 +916,7 @@ class TestClusterEndToEnd:
             ClusterConfig(
                 n_workers=2,
                 batch_size=64,
-                retry=RetryPolicy(max_respawns=0, failover=True),
+                retry=RetryPolicy(max_respawns=0, on_exhausted="failover"),
             ),
         )
         coordinator.start()

@@ -251,15 +251,15 @@ def test_worker_killed_mid_round_is_recovered_flow_exact(trained_pipeline):
 
     def open_round_then_kill():
         open_round()
-        if not killed and coordinator._round.round_id == 2:
-            assert 1 in coordinator._round.candidates
+        if not killed and coordinator.state.round.round_id == 2:
+            assert 1 in coordinator.state.round.candidates
             coordinator.kill_worker(1)
             coordinator._processes[1].join(timeout=5.0)
             assert not coordinator._processes[1].is_alive()
             # Detect and recover now, before any safe point can merge the
             # round: the dead incarnation's report must be dropped.
             coordinator._service_events(scan=True)
-            killed.append(coordinator._incarnation[1])
+            killed.append(coordinator.state.workers[1].incarnation)
 
     coordinator._open_round = open_round_then_kill
     report = coordinator.serve(packets)
